@@ -85,14 +85,16 @@ impl Budget {
 /// partition, each sized from that partition's own share of the program
 /// cost. The driver optimizes partitions one at a time against their own
 /// budget, so a partition's plan is a pure function of its members — the
-/// precondition for function-grain result reuse.
+/// precondition for function-grain result reuse. The driver sizes each
+/// budget once that partition's own input-stage cleanup is done and adds
+/// it with [`BudgetSet::push`], so the set grows in partition order.
 ///
 /// The split mirrors the proportional headroom split the parallel
 /// planner applies within a pass: every partition gets the same growth
 /// *percentage*, so headroom is proportional to partition cost and the
 /// per-partition limits sum to (within integer truncation of) the
 /// whole-program limit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BudgetSet {
     budgets: Vec<Budget>,
 }
@@ -109,6 +111,11 @@ impl BudgetSet {
                 .map(|&c| Budget::new(c, budget_percent, stage_fractions))
                 .collect(),
         }
+    }
+
+    /// Adds the next partition's budget.
+    pub fn push(&mut self, budget: Budget) {
+        self.budgets.push(budget);
     }
 
     /// Number of partitions.

@@ -50,10 +50,6 @@ pub type CloneDb = HashMap<CloneSpec, FuncId>;
 pub struct ClonePassResult {
     /// New clone bodies created.
     pub clones_created: u64,
-    /// Ids of the clone bodies created this pass, in creation order. The
-    /// incremental driver uses these to extend its partition mask so the
-    /// rest of the partition's pipeline sees the new functions.
-    pub created_ids: Vec<FuncId>,
     /// Clones found ready-made in the database.
     pub clones_reused: u64,
     /// Call sites redirected to clones.
@@ -172,20 +168,21 @@ fn context_of(p: &Program, site: &CallSiteRef) -> Vec<Option<ConstVal>> {
 }
 
 /// Builds one partition's clone groups greedily (Figure 3 "build clone
-/// groups"), scanning only the partition's own edges. Read-only; when
-/// `explain` is set, legality rejections come back as decision events
-/// (seed-loop only, so each restricted edge reports exactly once).
-#[allow(clippy::too_many_arguments)] // mirrors the pass plumbing
+/// groups"), scanning only the partition's own edges; the parameter usage
+/// of each callee (Figure 3 "setup") is computed when the scan first
+/// meets it. Read-only; when `explain` is set, legality rejections come
+/// back as decision events (seed-loop only, so each restricted edge
+/// reports exactly once).
 fn build_groups(
     p: &Program,
     cg: &CallGraph,
     part: &CallGraphPartition,
-    usage: &[Vec<f64>],
     summaries: Option<&hlo_ipa::Summaries>,
     opts: &HloOptions,
     pass: u32,
     explain: bool,
 ) -> (Vec<CloneGroup>, Vec<DecisionEvent>) {
+    let mut usage: HashMap<FuncId, Vec<f64>> = HashMap::new();
     let mut claimed: HashSet<usize> = HashSet::new();
     let mut groups: Vec<CloneGroup> = Vec::new();
     let mut events: Vec<DecisionEvent> = Vec::new();
@@ -214,7 +211,9 @@ fn build_groups(
         }
         let callee = edge.callee;
         let ctx = context_of(p, &edge.site);
-        let use_w = &usage[callee.index()];
+        let use_w = usage
+            .entry(callee)
+            .or_insert_with(|| param_usage(p.func(callee)));
         let mut bindings: Vec<(u32, ConstVal)> = Vec::new();
         for (i, c) in ctx.iter().enumerate() {
             if let Some(c) = c {
@@ -323,7 +322,6 @@ pub fn clone_pass(
     budget: &mut Budget,
     pass: usize,
     opts: &HloOptions,
-    mask: Option<&[bool]>,
     db: &mut CloneDb,
     ops_left: &mut Option<u64>,
     cache: &mut CallGraphCache,
@@ -333,42 +331,19 @@ pub fn clone_pass(
     let jobs = effective_jobs(opts.jobs);
     let explain = tracer.decisions_enabled();
     let plan_start = Instant::now();
-    let mut par_work = Duration::ZERO;
-    let mut par_wall = Duration::ZERO;
+    let par_work;
+    let par_wall;
 
-    // Per-routine parameter usage (Figure 3 "setup"), one function per
-    // work item.
-    let t = Instant::now();
-    let usage_out = par_map(jobs, &p.funcs, |_, f| param_usage(f));
-    par_wall += t.elapsed();
-    let usage = usage_out.results;
-    par_work += usage_out.work;
-
-    // Build clone groups, one partition per work item. The workers'
-    // legality-rejection events are absorbed sequentially in partition
-    // order — the order a sequential run would emit them.
+    // Build clone groups, one partition per work item; a partition
+    // without call edges has no site to clone for and is skipped. The
+    // workers' legality-rejection events are absorbed sequentially in
+    // partition order — the order a sequential run would emit them.
     let mut parts: Vec<PartitionGroups> = {
         let cg = cache.graph(p);
-        // Under a cache-partition mask, drop whole live components up
-        // front: a live component never straddles cache partitions, so
-        // its first member decides for all of them.
         let partitions: Vec<_> = cg
             .partitions()
             .into_iter()
-            .filter(|part| {
-                let selected =
-                    mask.is_none_or(|m| m.get(part.funcs[0].index()).copied().unwrap_or(false));
-                debug_assert!(
-                    mask.is_none()
-                        || !selected
-                        || part.funcs.iter().all(|&f| mask
-                            .unwrap()
-                            .get(f.index())
-                            .copied()
-                            .unwrap_or(false))
-                );
-                selected
-            })
+            .filter(|part| !part.edge_indices.is_empty())
             .collect();
         let p_ref: &Program = p;
         let summaries = opts.ipa.then(|| hlo_ipa::Summaries::compute(p_ref, cg));
@@ -378,15 +353,14 @@ pub fn clone_pass(
                 p_ref,
                 cg,
                 part,
-                &usage,
                 summaries.as_ref(),
                 opts,
                 pass as u32,
                 explain,
             )
         });
-        par_wall += t.elapsed();
-        par_work += out.work;
+        par_wall = t.elapsed();
+        par_work = out.work;
         let mut parts = Vec::new();
         for (part, (mut groups, events)) in partitions.iter().zip(out.results) {
             for e in events {
@@ -507,7 +481,6 @@ pub fn clone_pass(
                     let share = (group_calls / entry).clamp(0.0, 1.0);
                     scale_profile(&mut p.func_mut(id).profile, share);
                     scale_profile(&mut p.func_mut(g.spec.callee).profile, 1.0 - share);
-                    result.created_ids.push(id);
                     created = true;
                     id
                 }
@@ -620,7 +593,6 @@ mod tests {
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut db,
             &mut None,
             &mut cache,
@@ -721,7 +693,6 @@ mod tests {
             &mut budget,
             0,
             &opts,
-            None,
             &mut db,
             &mut ops,
             &mut cache,
@@ -734,7 +705,6 @@ mod tests {
             &mut budget,
             1,
             &opts,
-            None,
             &mut db,
             &mut None,
             &mut cache,
@@ -771,7 +741,6 @@ mod tests {
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut db,
             &mut None,
             &mut cache,
@@ -837,7 +806,6 @@ mod tests {
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut db,
             &mut ops,
             &mut cache,

@@ -2,7 +2,7 @@
 
 use crate::driver::Scope;
 use hlo_analysis::{reachable_funcs, CallGraphCache};
-use hlo_ir::{Block, FuncId, Inst, Program};
+use hlo_ir::{Block, FuncId, Function, Inst, Program};
 
 /// Removes routines that can no longer be called: file-scope functions
 /// whose calls were all inlined, and clonees fully replaced by clones.
@@ -10,8 +10,8 @@ use hlo_ir::{Block, FuncId, Inst, Program};
 /// are deletable too, since the whole program is visible.
 ///
 /// Reachability is computed over the cached call graph (the driver shares
-/// one [`CallGraphCache`] across the whole pipeline); each deleted routine
-/// is invalidated in the cache, since emptying its body drops its
+/// one [`CallGraphCache`] across a partition's pipeline); each deleted
+/// routine is invalidated in the cache, since emptying its body drops its
 /// out-edges.
 ///
 /// Deleted functions keep their `FuncId` (ids are never reused) but their
@@ -19,22 +19,6 @@ use hlo_ir::{Block, FuncId, Inst, Program};
 /// layout, classification and cost models no longer see them. Returns the
 /// number of routines deleted.
 pub fn delete_unreachable(p: &mut Program, scope: Scope, cache: &mut CallGraphCache) -> u64 {
-    delete_unreachable_masked(p, scope, cache, None)
-}
-
-/// [`delete_unreachable`] restricted to functions `mask` selects (`None`
-/// = all). Reachability is still computed program-wide; the mask only
-/// limits which unreachable functions are emptied — the incremental
-/// driver deletes one cache partition at a time, and a function's
-/// liveness never depends on another cache partition (direct edges never
-/// cross partitions, and every address-taken root shares the indirect
-/// island's partition).
-pub fn delete_unreachable_masked(
-    p: &mut Program,
-    scope: Scope,
-    cache: &mut CallGraphCache,
-    mask: Option<&[bool]>,
-) -> u64 {
     let reach = {
         let cg = cache.graph(p);
         reachable_funcs(p, cg, scope == Scope::CrossModule)
@@ -44,28 +28,38 @@ pub fn delete_unreachable_masked(
         if *alive {
             continue;
         }
-        if !mask.is_none_or(|m| m.get(fi).copied().unwrap_or(false)) {
-            continue;
-        }
         let id = FuncId(fi as u32);
         let module = p.func(id).module;
         let in_module_list = p.module(module).funcs.contains(&id);
         if !in_module_list {
             continue; // already deleted in an earlier pass
         }
-        let f = p.func_mut(id);
-        f.blocks = vec![Block {
-            insts: vec![Inst::Ret { value: None }],
-        }];
-        f.num_regs = f.params;
-        f.slots.clear();
-        f.profile = None;
+        empty_body(p.func_mut(id));
         let m = &mut p.modules[module.index()];
         m.funcs.retain(|&x| x != id);
         cache.invalidate(id);
         deleted += 1;
     }
     deleted
+}
+
+/// Replaces `f`'s body with the deleted form: a lone `ret`, no registers
+/// beyond the parameters, no frame slots and no profile. Name, module,
+/// signature and flags stay, so the function keeps its id and identity.
+pub(crate) fn empty_body(f: &mut Function) {
+    f.blocks = vec![Block {
+        insts: vec![Inst::Ret { value: None }],
+    }];
+    f.num_regs = f.params;
+    f.slots.clear();
+    f.profile = None;
+}
+
+/// True when `f`'s body is the one [`empty_body`] leaves: one block
+/// holding a lone valueless `ret`, and no frame slots.
+pub(crate) fn has_empty_body(f: &Function) -> bool {
+    f.slots.is_empty()
+        && matches!(f.blocks.as_slice(), [b] if matches!(b.insts.as_slice(), [Inst::Ret { value: None }]))
 }
 
 #[cfg(test)]

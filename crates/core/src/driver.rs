@@ -1,21 +1,23 @@
 //! The multi-pass driver (paper §2.2, Figure 2), parallel edition.
 //!
-//! One [`CallGraphCache`] is shared across every stage of the pipeline, so
-//! passes re-scan only the functions they actually edited. Per-function
-//! stages (frequency annotation, scalar cleanup) and per-partition stages
+//! The pipeline runs one call-graph partition at a time, each on a
+//! sub-program of its own (see [`optimize_partial`]). Within a partition
+//! one [`CallGraphCache`] is shared across every stage, so passes re-scan
+//! only the functions they actually edited. Per-function stages
+//! (frequency annotation, scalar cleanup) and per-component stages
 //! (inline/clone planning) fan out over the [`crate::par`] worker pool;
 //! everything that allocates `FuncId`s or charges the budget stays
 //! sequential, which is why the output is byte-identical at any
 //! [`HloOptions::jobs`] value.
 
-use crate::budget::BudgetSet;
+use crate::budget::{Budget, BudgetSet};
 use crate::cloner::{clone_pass, CloneDb};
-use crate::delete::delete_unreachable_masked;
+use crate::delete::{delete_unreachable, empty_body, has_empty_body};
 use crate::inliner::inline_pass;
-use crate::par::{effective_jobs, par_map_funcs};
+use crate::par::{effective_jobs, par_funcs_mut, par_map_funcs};
 use crate::report::{HloReport, PassReport, StageTiming};
-use hlo_analysis::{estimate_static_profile, CallGraphCache, CallGraphPartition};
-use hlo_ir::{FuncId, FuncProfile, Function, Linkage, Program};
+use hlo_analysis::{estimate_static_profile, CallGraph, CallGraphCache};
+use hlo_ir::{FuncId, FuncProfile, Function, Linkage, Module, Program};
 use hlo_lint::{CheckLevel, Checker};
 use hlo_profile::{apply_profile, ProfileDb};
 use hlo_trace::{DecisionEvent, DecisionKind, TraceLevel, Tracer, Verdict};
@@ -89,12 +91,6 @@ pub struct HloOptions {
     /// The produced program is byte-identical for every value — only
     /// wall-clock time changes.
     pub jobs: usize,
-    /// Allow the optimization daemon to serve this request from its
-    /// function-grain partition cache (on by default). Purely a caching
-    /// permission: the pipeline guarantees the incremental result is
-    /// byte-identical to a from-scratch build, so the flag is normalized
-    /// out of the fingerprint like `jobs`.
-    pub incremental: bool,
 }
 
 impl HloOptions {
@@ -151,7 +147,6 @@ impl HloOptions {
         );
         let _ = writeln!(s, "trace {}", self.trace);
         let _ = writeln!(s, "jobs {}", self.jobs);
-        let _ = writeln!(s, "incremental {}", onoff(self.incremental));
         s
     }
 
@@ -218,7 +213,6 @@ impl HloOptions {
                 "check" => o.check = val.parse()?,
                 "trace" => o.trace = val.parse()?,
                 "jobs" => o.jobs = num("jobs")? as usize,
-                "incremental" => o.incremental = bool_of(val)?,
                 other => return Err(format!("unknown option key `{other}`")),
             }
         }
@@ -236,7 +230,6 @@ impl HloOptions {
             jobs: 1,
             check: CheckLevel::Off,
             trace: TraceLevel::Off,
-            incremental: true,
             ..self.clone()
         };
         hlo_ir::fnv1a_64(canonical.to_text().as_bytes())
@@ -262,7 +255,6 @@ impl Default for HloOptions {
             check: CheckLevel::Off,
             trace: TraceLevel::Off,
             jobs: 1,
-            incremental: true,
         }
     }
 }
@@ -353,21 +345,6 @@ pub struct PartialOutcome {
     pub log: BuildLog,
 }
 
-/// Sum of `size^2` over the functions `mask` selects — the partition-local
-/// analogue of [`Program::compile_cost`], used to recalibrate a
-/// partition's budget without charging it for other partitions' growth.
-pub(crate) fn masked_cost(p: &Program, mask: &[bool]) -> u64 {
-    p.funcs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| mask.get(*i).copied().unwrap_or(false))
-        .map(|(_, f)| {
-            let s = f.size();
-            s * s
-        })
-        .sum()
-}
-
 /// The partition-at-a-time driver underneath [`optimize_traced`].
 ///
 /// The program is split into *cache partitions* — weakly connected
@@ -375,14 +352,19 @@ pub(crate) fn masked_cost(p: &Program, mask: &[bool]) -> u64 {
 /// indirection (indirect call sites, address-taken functions and their
 /// takers) merged into one island — computed on the **input** program so
 /// the optimization daemon, which keys its result cache on input cone
-/// hashes, agrees with the driver about membership. After a masked global
-/// prepass, each partition runs its complete multi-pass pipeline under its
-/// **own** [`crate::budget::Budget`] (its proportional share of the global
-/// budget), sequentially in partition order. Because no pipeline stage
-/// edits a function outside the current partition, and clone ids allocate
-/// contiguously per partition, each partition's final bodies are a pure
-/// function of its own members, profile slice and budget share — which is
-/// what makes function-grain result reuse sound:
+/// hashes, agrees with the driver about membership. After frequency
+/// annotation, partitions are built one at a time, in partition order,
+/// each inside a structural `partition:<index>` span. A rebuild carves the
+/// partition out as a sub-program in which every other function is a
+/// deleted placeholder ([`extract_sub_program`]) and runs the whole
+/// pipeline on it: input-stage cleanup and deletion, the clone and inline
+/// passes under the partition's **own** [`crate::budget::Budget`] (its
+/// proportional share of the global budget), and straightening. The
+/// finished partition then comes back through the same splice step a
+/// cached one takes. No stage can see past its sub-program, and clone ids
+/// allocate contiguously per partition, so each partition's final bodies
+/// are a pure function of its own members, profile slice and budget share
+/// — which is what makes function-grain result reuse sound:
 ///
 /// * `plan = None` (a full build, what [`optimize`] does): every
 ///   partition is rebuilt.
@@ -392,8 +374,9 @@ pub(crate) fn masked_cost(p: &Program, mask: &[bool]) -> u64 {
 ///   entry really came from a byte-identical cone under the same options
 ///   and budget share.
 ///
-/// Outline builds (`enable_outline`) are whole-program — outlining
-/// creates functions before partitioning is useful — and reject a plan.
+/// Outline builds (`enable_outline`) are one whole-program partition —
+/// outlining creates functions before partitioning is useful — built in
+/// place, and reject a plan.
 pub fn optimize_partial(
     p: &mut Program,
     profile: Option<&ProfileDb>,
@@ -401,12 +384,10 @@ pub fn optimize_partial(
     plan: Option<&[PartitionAction]>,
     tracer: &mut Tracer,
 ) -> PartialOutcome {
-    let mut report = HloReport::default();
     let jobs = effective_jobs(opts.jobs);
     let span_base = tracer.span_count();
     let run_t = Instant::now();
     let root = tracer.push("optimize");
-    let mut cache = CallGraphCache::new();
 
     // Static-global promotion renames globals program-wide; snapshot the
     // table so the build log can report any mutation.
@@ -416,41 +397,43 @@ pub fn optimize_partial(
         .map(|g| (g.name.clone(), g.linkage))
         .collect();
 
-    // Cache partitions come from the *input* program (outline builds get
-    // one whole-program partition after outlining, below).
-    let mut partitions: Vec<CallGraphPartition> = if opts.enable_outline {
+    // Cache partitions come from the *input* program.
+    let partitions: Vec<Vec<FuncId>> = if opts.enable_outline {
         assert!(plan.is_none(), "outline builds are not partition-cacheable");
         Vec::new()
     } else {
-        cache.graph(p).cache_partitions()
+        CallGraph::build(p)
+            .cache_partitions()
+            .into_iter()
+            .map(|part| part.funcs)
+            .collect()
     };
-    let mut rebuild_func = vec![true; p.funcs.len()];
     if let Some(plan) = plan {
         assert_eq!(
             plan.len(),
             partitions.len(),
             "plan must cover every cache partition"
         );
-        for (part, action) in partitions.iter().zip(plan) {
-            if matches!(action, PartitionAction::Reuse(_)) {
-                for &f in &part.funcs {
-                    rebuild_func[f.index()] = false;
-                }
-            }
-        }
     }
-    // The prepass mask: a full build touches everything (`None` keeps the
-    // small-batch parallel paths on their unmasked fast path), a partial
-    // build only prepasses functions it will rebuild — reused partitions
-    // get their final bodies spliced in, so optimizing their inputs would
-    // be wasted work (and the whole point of the cache).
-    let prepass_mask = plan.map(|_| rebuild_func.clone());
-    let pmask = prepass_mask.as_deref();
 
+    let mut build = Build {
+        opts,
+        jobs,
+        ck: Checker::new(opts.check),
+        report: HloReport::default(),
+        budgets: BudgetSet::default(),
+        ops_left: opts.max_ops,
+        passes: (0..opts.passes)
+            .map(|pass| PassReport {
+                pass,
+                ..Default::default()
+            })
+            .collect(),
+        pass_entered: vec![false; opts.passes],
+    };
     // Verify-each: record the input program's pre-existing defects first,
     // so every later boundary only reports what a stage *introduced*.
-    let mut ck = Checker::new(opts.check);
-    ck.baseline(p);
+    build.ck.baseline(p);
 
     // Frequency annotation: PBO counts when available, the static
     // loop-depth heuristic otherwise. With a profile database, functions
@@ -458,7 +441,7 @@ pub fn optimize_partial(
     // fallback fans out over the worker pool. (Reused partitions are
     // annotated too — harmless, their bodies are replaced at splice.)
     let t0 = Instant::now();
-    report.profile_annotations = match profile {
+    build.report.profile_annotations = match profile {
         Some(db) => apply_profile(p, db) as u64,
         None => 0,
     };
@@ -478,207 +461,67 @@ pub fn optimize_partial(
         }
     });
     tracer.leaf("annotate", seq + t1.elapsed(), seq + out.work);
-    ck.check(p, "annotate");
+    build.ck.check(p, "annotate");
 
-    // Input-stage cleanup: classic optimizations "mainly to reduce size",
-    // plus interprocedural side-effect deletion on the link-time path.
-    optimize_all(
-        p,
-        opts,
-        &mut ck,
-        &mut cache,
-        jobs,
-        tracer,
-        0,
-        &mut report,
-        pmask,
-    );
-    let t = Instant::now();
-    report.deletions += delete_unreachable_masked(p, opts.scope, &mut cache, pmask);
-    tracer.leaf_seq("delete", t.elapsed());
-    ck.check(p, "delete");
-
-    // Optional aggressive outlining (paper §5): shrink hot routines by
-    // extracting cold return paths before any budget is computed, so the
-    // freed budget goes to inlining the hot code. Outlining rewrites call
-    // coordinates program-wide, so the whole cache is invalidated.
+    let mut log = BuildLog::default();
     if opts.enable_outline {
-        // A structural span only — no stage leaf, so `stage_timings`
-        // output is unchanged from the pre-tracer format.
         let t = Instant::now();
-        let outline_span = tracer.push("outline");
-        report.outlines = crate::outline_cold_regions_traced(p, &opts.outline, tracer);
-        cache.invalidate_all();
-        ck.check(p, "outline");
-        if report.outlines > 0 {
-            optimize_all(
-                p,
-                opts,
-                &mut ck,
-                &mut cache,
-                jobs,
-                tracer,
-                0,
-                &mut report,
-                None,
-            );
+        let span = tracer.push("partition:0");
+        let first_clone = build.partition(p, 0, tracer);
+        tracer.pop(span, t.elapsed());
+        log.partitions = vec![(0..first_clone as u32).map(FuncId).collect()];
+        log.clones = (first_clone as u32..p.funcs.len() as u32)
+            .map(|id| (FuncId(id), 0))
+            .collect();
+        log.rebuilt.push(true);
+    } else {
+        for (pi, members) in partitions.iter().enumerate() {
+            let t = Instant::now();
+            let span = tracer.push(&format!("partition:{pi}"));
+            let finished = match plan.map_or(&PartitionAction::Rebuild, |pl| &pl[pi]) {
+                PartitionAction::Reuse(stored) => {
+                    // A spliced partition's budget is sized from its
+                    // input members, which never ran the pipeline here.
+                    let cost = members
+                        .iter()
+                        .map(|&f| {
+                            let s = p.func(f).size();
+                            s * s
+                        })
+                        .sum();
+                    build.report.initial_cost += cost;
+                    build.budgets.push(Budget::new(
+                        cost,
+                        opts.budget_percent,
+                        &opts.stage_fractions,
+                    ));
+                    log.rebuilt.push(false);
+                    stored.clone()
+                }
+                PartitionAction::Rebuild => {
+                    let mut sub = extract_sub_program(p, members);
+                    let placeholders = (sub.funcs.len() - members.len()) as u64;
+                    build.partition(&mut sub, placeholders, tracer);
+                    log.rebuilt.push(true);
+                    finish_sub_program(p, sub, members)
+                }
+            };
+            splice_partition(p, finished, pi, &mut log);
+            tracer.pop(span, t.elapsed());
         }
-        tracer.pop(outline_span, t.elapsed());
-        partitions = vec![CallGraphPartition {
-            funcs: p.func_ids().collect(),
-            edge_indices: Vec::new(),
-        }];
-        rebuild_func = vec![true; p.funcs.len()];
+        log.partitions = partitions;
     }
 
-    let c0 = p.compile_cost();
-    report.initial_cost = c0;
-    // One budget per partition, each a pure function of the partition's
-    // own post-prepass cost — the hierarchical split mirrors how the
-    // parallel planner splits stage headroom proportionally. The limits
-    // sum to the global budget (within integer truncation).
-    let part_costs: Vec<u64> = partitions
-        .iter()
-        .map(|part| {
-            part.funcs
-                .iter()
-                .map(|&f| {
-                    let s = p.func(f).size();
-                    s * s
-                })
-                .sum()
-        })
-        .collect();
-    let mut budgets = BudgetSet::new(&part_costs, opts.budget_percent, &opts.stage_fractions);
-    report.budget_limit = budgets.total_limit();
-
-    let mut clone_db = CloneDb::default();
-    let mut ops_left = opts.max_ops;
-    let mut log = BuildLog {
-        partitions: partitions.iter().map(|part| part.funcs.clone()).collect(),
-        clones: Vec::new(),
-        partition_limits: (0..partitions.len())
-            .map(|i| budgets.get(i).limit())
-            .collect(),
-        rebuilt: Vec::new(),
-        globals_mutated: false,
-    };
-    // Which functions the final straighten stage may touch: everything a
-    // rebuild produced, nothing a splice restored (spliced bodies were
-    // straightened by the build that cached them).
-    let mut straighten_mask = rebuild_func;
-    let mut pass_entered = vec![false; opts.passes];
-    let mut pass_reports: Vec<PassReport> = (0..opts.passes)
-        .map(|pass| PassReport {
-            pass,
-            ..Default::default()
-        })
-        .collect();
-
-    for (pi, part) in partitions.iter().enumerate() {
-        match plan.map_or(&PartitionAction::Rebuild, |pl| &pl[pi]) {
-            PartitionAction::Reuse(stored) => {
-                log.rebuilt.push(false);
-                splice_partition(p, stored, pi, &mut log, &mut cache);
-                straighten_mask.resize(p.funcs.len(), false);
-            }
-            PartitionAction::Rebuild => {
-                log.rebuilt.push(true);
-                let budget = budgets.get_mut(pi);
-                let mut mask = vec![false; p.funcs.len()];
-                for &f in &part.funcs {
-                    mask[f.index()] = true;
-                }
-                for pass in 0..opts.passes {
-                    if !budget.open() {
-                        break;
-                    }
-                    if ops_left == Some(0) {
-                        break;
-                    }
-                    pass_entered[pass] = true;
-                    let pr = &mut pass_reports[pass];
-                    let pass_t = Instant::now();
-                    let pass_span = tracer.push(&format!("pass{pass}"));
-                    if opts.enable_clone {
-                        mask.resize(p.funcs.len(), false);
-                        let r = clone_pass(
-                            p,
-                            budget,
-                            pass,
-                            opts,
-                            Some(&mask),
-                            &mut clone_db,
-                            &mut ops_left,
-                            &mut cache,
-                            tracer,
-                        );
-                        for &id in &r.created_ids {
-                            if mask.len() <= id.index() {
-                                mask.resize(id.index() + 1, false);
-                            }
-                            mask[id.index()] = true;
-                            log.clones.push((id, pi));
-                        }
-                        pr.clones_created += r.clones_created;
-                        pr.clones_reused += r.clones_reused;
-                        pr.clone_replacements += r.sites_replaced;
-                        tracer.leaf("clone.plan", r.plan_wall, r.plan_work);
-                        tracer.leaf("clone.apply", r.apply_wall, r.apply_work);
-                        ck.check(p, &format!("clone@{pass}"));
-                    }
-                    if opts.enable_inline {
-                        mask.resize(p.funcs.len(), false);
-                        let r = inline_pass(
-                            p,
-                            budget,
-                            pass,
-                            opts,
-                            Some(&mask),
-                            &mut ops_left,
-                            &mut cache,
-                            tracer,
-                        );
-                        pr.inlines += r.inlines;
-                        tracer.leaf("inline.plan", r.plan_wall, r.plan_work);
-                        tracer.leaf("inline.apply", r.apply_wall, r.apply_work);
-                        ck.check(p, &format!("inline@{pass}"));
-                    }
-                    let t = Instant::now();
-                    pr.deletions +=
-                        delete_unreachable_masked(p, opts.scope, &mut cache, Some(&mask));
-                    tracer.leaf_seq("delete", t.elapsed());
-                    ck.check(p, &format!("delete@{pass}"));
-                    optimize_all(
-                        p,
-                        opts,
-                        &mut ck,
-                        &mut cache,
-                        jobs,
-                        tracer,
-                        pass as u32,
-                        &mut report,
-                        Some(&mask),
-                    );
-                    let t = Instant::now();
-                    pr.deletions +=
-                        delete_unreachable_masked(p, opts.scope, &mut cache, Some(&mask));
-                    tracer.leaf_seq("delete", t.elapsed());
-                    ck.check(p, &format!("cleanup@{pass}"));
-                    budget.recalibrate(masked_cost(p, &mask));
-                    pr.cost_after += budget.current();
-                    tracer.pop(pass_span, pass_t.elapsed());
-                    // Note: a pass that changed nothing is not a reason to
-                    // stop — sites deferred for budget reasons become
-                    // affordable as later stages release more budget.
-                }
-                straighten_mask.resize(p.funcs.len(), true);
-            }
-        }
-    }
-
-    for (pass, pr) in pass_reports.into_iter().enumerate() {
-        if pass_entered[pass] {
+    let Build {
+        ck,
+        mut report,
+        budgets,
+        passes,
+        pass_entered,
+        ..
+    } = build;
+    for (pr, entered) in passes.into_iter().zip(pass_entered) {
+        if entered {
             report.inlines += pr.inlines;
             report.clones += pr.clones_created;
             report.clone_replacements += pr.clone_replacements;
@@ -686,19 +529,8 @@ pub fn optimize_partial(
             report.passes.push(pr);
         }
     }
-
-    // Final PBO code positioning: straighten hot paths so fall-throughs
-    // replace jumps (does not change VM semantics, only layout quality).
-    // Block reordering shifts every call-site coordinate.
-    if opts.enable_straighten {
-        let t = Instant::now();
-        straighten_mask.resize(p.funcs.len(), true);
-        report.straightened =
-            hlo_opt::straighten::straighten_program_masked(p, Some(&straighten_mask));
-        cache.invalidate_all();
-        tracer.leaf_seq("straighten", t.elapsed());
-        ck.check(p, "straighten");
-    }
+    report.budget_limit = budgets.total_limit();
+    log.partition_limits = (0..budgets.len()).map(|i| budgets.get(i).limit()).collect();
 
     tracer.pop(root, run_t.elapsed());
     report.final_cost = p.compile_cost();
@@ -723,6 +555,335 @@ pub fn optimize_partial(
             .any(|(g, (name, linkage))| g.name != *name || g.linkage != *linkage);
 
     PartialOutcome { report, log }
+}
+
+/// The state one build threads through its partitions, in partition
+/// order: the verify-each checker, the report's counters, the partition
+/// budgets, the Figure 8 operation counter (one global sequential count)
+/// and the per-pass rows every partition adds to.
+struct Build<'a> {
+    opts: &'a HloOptions,
+    jobs: usize,
+    ck: Checker,
+    report: HloReport,
+    budgets: BudgetSet,
+    ops_left: Option<u64>,
+    passes: Vec<PassReport>,
+    pass_entered: Vec<bool>,
+}
+
+impl Build<'_> {
+    /// Runs the whole pipeline on one partition's program `q` (its
+    /// sub-program, or the program itself for an outline build) and
+    /// returns the id of the first clone it created — every function from
+    /// there on is one. `placeholders` counts the deleted stand-ins for
+    /// functions outside the partition: each is a lone `ret` (cost 1) that
+    /// no stage edits, so the partition's own cost is `q`'s cost less one
+    /// per placeholder.
+    fn partition(&mut self, q: &mut Program, placeholders: u64, tracer: &mut Tracer) -> usize {
+        let opts = self.opts;
+        let mut cache = CallGraphCache::new();
+
+        // Input-stage cleanup: classic optimizations "mainly to reduce
+        // size", plus interprocedural side-effect deletion on the
+        // link-time path.
+        self.optimize_all(q, &mut cache, tracer, 0);
+        let t = Instant::now();
+        self.report.deletions += delete_unreachable(q, opts.scope, &mut cache);
+        tracer.leaf_seq("delete", t.elapsed());
+        self.ck.check(q, "delete");
+
+        // Optional aggressive outlining (paper §5): shrink hot routines by
+        // extracting cold return paths before any budget is computed, so
+        // the freed budget goes to inlining the hot code. Outlining
+        // rewrites call coordinates program-wide, so the whole cache is
+        // invalidated.
+        if opts.enable_outline {
+            // A structural span only — no stage leaf, so `stage_timings`
+            // output is unchanged from the pre-tracer format.
+            let t = Instant::now();
+            let outline_span = tracer.push("outline");
+            self.report.outlines = crate::outline_cold_regions_traced(q, &opts.outline, tracer);
+            cache.invalidate_all();
+            self.ck.check(q, "outline");
+            if self.report.outlines > 0 {
+                self.optimize_all(q, &mut cache, tracer, 0);
+            }
+            tracer.pop(outline_span, t.elapsed());
+        }
+
+        // The partition's budget, a pure function of its own post-prepass
+        // cost — the hierarchical split mirrors how the parallel planner
+        // splits stage headroom proportionally. The limits sum to the
+        // global budget (within integer truncation).
+        let cost = |q: &Program| q.compile_cost() - placeholders;
+        let initial = cost(q);
+        self.report.initial_cost += initial;
+        let mut budget = Budget::new(initial, opts.budget_percent, &opts.stage_fractions);
+        let first_clone = q.funcs.len();
+        let mut clone_db = CloneDb::default();
+        for pass in 0..opts.passes {
+            if !budget.open() || self.ops_left == Some(0) {
+                break;
+            }
+            self.pass_entered[pass] = true;
+            let pass_t = Instant::now();
+            let pass_span = tracer.push(&format!("pass{pass}"));
+            if opts.enable_clone {
+                let r = clone_pass(
+                    q,
+                    &mut budget,
+                    pass,
+                    opts,
+                    &mut clone_db,
+                    &mut self.ops_left,
+                    &mut cache,
+                    tracer,
+                );
+                let pr = &mut self.passes[pass];
+                pr.clones_created += r.clones_created;
+                pr.clones_reused += r.clones_reused;
+                pr.clone_replacements += r.sites_replaced;
+                tracer.leaf("clone.plan", r.plan_wall, r.plan_work);
+                tracer.leaf("clone.apply", r.apply_wall, r.apply_work);
+                self.ck.check(q, &format!("clone@{pass}"));
+            }
+            if opts.enable_inline {
+                let r = inline_pass(
+                    q,
+                    &mut budget,
+                    pass,
+                    opts,
+                    &mut self.ops_left,
+                    &mut cache,
+                    tracer,
+                );
+                self.passes[pass].inlines += r.inlines;
+                tracer.leaf("inline.plan", r.plan_wall, r.plan_work);
+                tracer.leaf("inline.apply", r.apply_wall, r.apply_work);
+                self.ck.check(q, &format!("inline@{pass}"));
+            }
+            let t = Instant::now();
+            self.passes[pass].deletions += delete_unreachable(q, opts.scope, &mut cache);
+            tracer.leaf_seq("delete", t.elapsed());
+            self.ck.check(q, &format!("delete@{pass}"));
+            self.optimize_all(q, &mut cache, tracer, pass as u32);
+            let t = Instant::now();
+            self.passes[pass].deletions += delete_unreachable(q, opts.scope, &mut cache);
+            tracer.leaf_seq("delete", t.elapsed());
+            self.ck.check(q, &format!("cleanup@{pass}"));
+            budget.recalibrate(cost(q));
+            self.passes[pass].cost_after += budget.current();
+            tracer.pop(pass_span, pass_t.elapsed());
+            // Note: a pass that changed nothing is not a reason to stop —
+            // sites deferred for budget reasons become affordable as later
+            // stages release more budget.
+        }
+        self.budgets.push(budget);
+
+        // Final PBO code positioning: straighten hot paths so
+        // fall-throughs replace jumps (does not change VM semantics, only
+        // layout quality).
+        if opts.enable_straighten {
+            let t = Instant::now();
+            self.report.straightened += hlo_opt::straighten::straighten_program(q);
+            tracer.leaf_seq("straighten", t.elapsed());
+            self.ck.check(q, "straighten");
+        }
+        first_clone
+    }
+
+    /// Optimizes every function of `q`; on the whole-program path also
+    /// deletes calls to side-effect-free routines (against the cached call
+    /// graph) and, with [`HloOptions::ipa`] set, runs the summary-driven
+    /// cross-call stage. Accumulates its counters into the report. In
+    /// verify-each mode the checker runs after every scalar sub-pass, so
+    /// findings carry sub-pass origins like `cse` or `simplify_cfg`.
+    fn optimize_all(
+        &mut self,
+        q: &mut Program,
+        cache: &mut CallGraphCache,
+        tracer: &mut Tracer,
+        pass: u32,
+    ) {
+        let (opts, jobs) = (self.opts, self.jobs);
+        cleanup_round(q, &mut self.ck, cache, jobs, tracer);
+        if opts.scope != Scope::CrossModule {
+            return;
+        }
+        let t = Instant::now();
+        let removal = {
+            let cg = cache.graph(q);
+            hlo_opt::eliminate_pure_calls_with(q, cg)
+        };
+        for &f in &removal.changed {
+            cache.invalidate(f);
+        }
+        tracer.leaf_seq("pure_calls", t.elapsed());
+        self.ck.check(q, "pure_calls");
+        if tracer.decisions_enabled() {
+            for s in &removal.sites {
+                tracer.decision(pure_call_event(
+                    q,
+                    pass,
+                    s.caller,
+                    s.block,
+                    s.inst,
+                    s.callee,
+                    "pure-call-removed",
+                ));
+            }
+        }
+        self.report.pure_calls_removed += removal.removed;
+        if removal.removed > 0 {
+            cleanup_round(q, &mut self.ck, cache, jobs, tracer);
+        }
+
+        // Summary-driven stage: fold constant returns, delete calls the
+        // summaries prove removable (a strict superset of the syntactic set
+        // above — only newly unlocked sites remain by now), then forward
+        // stores across summary-screened calls. `ipa off` skips all of it
+        // and reproduces the historical pipeline byte for byte.
+        if opts.ipa {
+            let t = Instant::now();
+            // The syntactic purity set only picks a decision's reason
+            // label, so it is computed only when decisions are recorded —
+            // still before this stage edits the program.
+            let (summaries, syntactic) = {
+                let cg = cache.graph(q);
+                (
+                    hlo_ipa::Summaries::compute(q, cg),
+                    tracer
+                        .decisions_enabled()
+                        .then(|| hlo_analysis::side_effect_free_funcs(q, cg)),
+                )
+            };
+            let folds = hlo_opt::fold_const_returns(q, &summaries);
+            for fo in &folds {
+                cache.invalidate(fo.caller);
+            }
+            let ipa_removal = hlo_opt::eliminate_calls_where(q, &summaries.removable());
+            for &f in &ipa_removal.changed {
+                cache.invalidate(f);
+            }
+            let xstats = hlo_opt::forward_across_calls(q, &summaries);
+            for &f in &xstats.changed {
+                cache.invalidate(f);
+            }
+            tracer.leaf_seq("ipa", t.elapsed());
+            self.ck.check(q, "ipa");
+            if let Some(syntactic) = syntactic {
+                for fo in &folds {
+                    tracer.decision(pure_call_event(
+                        q,
+                        pass,
+                        fo.caller,
+                        fo.block,
+                        fo.inst,
+                        fo.callee,
+                        "ipa-ret-const",
+                    ));
+                }
+                for s in &ipa_removal.sites {
+                    let reason = if syntactic[s.callee.index()] {
+                        "pure-call-removed"
+                    } else {
+                        "ipa-pure-callee"
+                    };
+                    tracer.decision(pure_call_event(
+                        q, pass, s.caller, s.block, s.inst, s.callee, reason,
+                    ));
+                }
+            }
+            self.report.ipa_const_folds += folds.len() as u64;
+            self.report.ipa_pure_calls += ipa_removal.removed;
+            self.report.ipa_store_forwards += xstats.forwards + xstats.dead_stores;
+            if !folds.is_empty()
+                || ipa_removal.removed > 0
+                || xstats.forwards + xstats.dead_stores > 0
+            {
+                cleanup_round(q, &mut self.ck, cache, jobs, tracer);
+            }
+        }
+    }
+}
+
+/// Carves one cache partition out of `p` for its own pipeline run. The
+/// sub-program keeps `p`'s whole `FuncId` space, every function name, the
+/// entry, and the globals and externs (moved, so a static-global promotion
+/// reaches the program when the partition comes back), but only the
+/// members keep their bodies and module-list places: every other function
+/// is a placeholder in the deleted form [`delete_unreachable`] produces.
+/// Clone ids and `.clone`/`.promoted` names therefore come out exactly as
+/// in a whole-program build, while no analysis sees past the partition.
+/// Member bodies move rather than copy; `p` holds placeholders in their
+/// slots until [`splice_partition`] puts the finished bodies back.
+fn extract_sub_program(p: &mut Program, members: &[FuncId]) -> Program {
+    let mut funcs: Vec<Function> = p
+        .funcs
+        .iter()
+        .map(|f| {
+            let mut g = Function::new(f.name.clone(), f.module, f.params);
+            g.ret = f.ret;
+            g.linkage = f.linkage;
+            g.flags = f.flags;
+            empty_body(&mut g);
+            g
+        })
+        .collect();
+    let mut is_member = vec![false; p.funcs.len()];
+    for &id in members {
+        std::mem::swap(&mut funcs[id.index()], &mut p.funcs[id.index()]);
+        is_member[id.index()] = true;
+    }
+    let modules = p
+        .modules
+        .iter()
+        .map(|m| Module {
+            name: m.name.clone(),
+            funcs: m
+                .funcs
+                .iter()
+                .copied()
+                .filter(|f| is_member[f.index()])
+                .collect(),
+        })
+        .collect();
+    Program {
+        modules,
+        funcs,
+        globals: std::mem::take(&mut p.globals),
+        externs: std::mem::take(&mut p.externs),
+        entry: p.entry,
+    }
+}
+
+/// Takes a rebuilt partition apart again: the globals and externs go back
+/// to `p`, and the members' final bodies and the clones the pipeline
+/// appended (in creation order) come out, with their alive bits, in the
+/// form [`splice_partition`] consumes.
+fn finish_sub_program(p: &mut Program, sub: Program, members: &[FuncId]) -> ReusedPartition {
+    p.globals = sub.globals;
+    p.externs = sub.externs;
+    let mut funcs: Vec<Option<Function>> = sub.funcs.into_iter().map(Some).collect();
+    let (inputs, total) = (p.funcs.len(), funcs.len());
+    let mut take = |id: FuncId| {
+        let f = funcs[id.index()]
+            .take()
+            .expect("each function is taken once");
+        let alive = sub.modules[f.module.index()].funcs.contains(&id);
+        (f, alive)
+    };
+    ReusedPartition {
+        members: members
+            .iter()
+            .map(|&id| {
+                let (f, alive) = take(id);
+                (id, f, alive)
+            })
+            .collect(),
+        clones: (inputs..total).map(|i| take(FuncId(i as u32))).collect(),
+    }
 }
 
 /// Extracts one partition's final state from a finished build, in the
@@ -780,18 +941,15 @@ pub fn extract_partition(p: &Program, log: &BuildLog, pi: usize) -> ReusedPartit
     ReusedPartition { members, clones }
 }
 
-/// Splices one cached partition into `p`: members' final bodies overwrite
-/// their input slots (dead ones leave their module list), clone bodies are
-/// appended in creation order. Clone ids line up with what a rebuild would
-/// have allocated because partitions are processed in order and earlier
-/// partitions contribute identical clone counts either way.
-fn splice_partition(
-    p: &mut Program,
-    stored: &ReusedPartition,
-    pi: usize,
-    log: &mut BuildLog,
-    cache: &mut CallGraphCache,
-) {
+/// Splices one finished partition into `p`: members' final bodies
+/// overwrite their input slots (dead ones leave their module list), clone
+/// bodies are appended in creation order, and [`CLONE_REF_BASE`]
+/// references are rebased onto the ids the clones land on. Cached and
+/// freshly rebuilt partitions both come back this way. Clone ids line up
+/// with what a rebuild would have allocated because partitions are
+/// processed in order and earlier partitions contribute identical clone
+/// counts either way.
+fn splice_partition(p: &mut Program, finished: ReusedPartition, pi: usize, log: &mut BuildLog) {
     let base = p.funcs.len() as u32;
     let rebase = |func: &mut Function| {
         func.for_each_func_ref_mut(|fid| {
@@ -800,20 +958,16 @@ fn splice_partition(
             }
         });
     };
-    for (id, func, alive) in &stored.members {
-        let mut func = func.clone();
+    for (id, mut func, alive) in finished.members {
         rebase(&mut func);
         let module = func.module;
-        *p.func_mut(*id) = func;
-        if !*alive {
-            p.modules[module.index()].funcs.retain(|x| x != id);
+        *p.func_mut(id) = func;
+        if !alive {
+            p.modules[module.index()].funcs.retain(|&x| x != id);
         }
-        cache.invalidate(*id);
     }
-    for (func, alive) in &stored.clones {
-        let mut func = func.clone();
+    for (mut func, alive) in finished.clones {
         rebase(&mut func);
-        let alive = *alive;
         let module = func.module;
         let id = p.push_function(func);
         if !alive {
@@ -823,38 +977,39 @@ fn splice_partition(
     }
 }
 
-/// One parallel scalar-cleanup round: every function `mask` selects
-/// (`None` = all) is optimized on the worker pool, each worker driving its
-/// function's sub-pass boundaries through a forked child checker. Children
-/// are absorbed in function order, reproducing the sequential run's
+/// One parallel scalar-cleanup round: every function with a body is
+/// optimized on the worker pool, each worker driving its function's
+/// sub-pass boundaries through a forked child checker. Children are
+/// absorbed in function order, reproducing the sequential run's
 /// diagnostics exactly; functions whose bodies changed are invalidated in
-/// the call-graph cache.
+/// the call-graph cache. Deleted routines and placeholders are already at
+/// the optimizer's fixpoint (no stage changes a lone `ret`), so they stay
+/// out of the pool.
 fn cleanup_round(
     p: &mut Program,
     ck: &mut Checker,
     cache: &mut CallGraphCache,
     jobs: usize,
     tracer: &mut Tracer,
-    mask: Option<&[bool]>,
 ) {
     let t = Instant::now();
+    let ids: Vec<FuncId> = p
+        .iter_funcs()
+        .filter(|(_, f)| !has_empty_body(f))
+        .map(|(id, _)| id)
+        .collect();
     let parent: &Checker = ck;
-    let out = par_map_funcs(jobs, p, |id, f| {
-        if !mask.is_none_or(|m| m.get(id.index()).copied().unwrap_or(false)) {
-            return (None, false);
-        }
+    let out = par_funcs_mut(jobs, p, &ids, |_, f| {
         let mut child = parent.fork();
         let stats = hlo_opt::optimize_function_checked(f, &mut child);
-        (Some(child), stats.changed)
+        (child, stats.changed)
     });
     let wall = t.elapsed();
     let work = out.work;
-    for (i, (child, changed)) in out.results.into_iter().enumerate() {
-        if let Some(child) = child {
-            ck.absorb(child);
-        }
+    for (&id, (child, changed)) in ids.iter().zip(out.results) {
+        ck.absorb(child);
         if changed {
-            cache.invalidate(FuncId(i as u32));
+            cache.invalidate(id);
         }
     }
     tracer.leaf("cleanup", wall, work);
@@ -889,120 +1044,6 @@ fn pure_call_event(
             .as_ref()
             .and_then(|pr| pr.blocks.get(block).copied())
             .unwrap_or(0.0),
-    }
-}
-
-/// Optimizes every live function `mask` selects (`None` = all); on the
-/// whole-program path also deletes calls to side-effect-free routines
-/// (against the cached call graph) and, with [`HloOptions::ipa`] set, runs
-/// the summary-driven cross-call stage. The global analyses (reachability,
-/// purity, summaries) stay program-wide — the mask only limits which
-/// functions are *edited*, and a masked function's facts depend only on
-/// same-partition callees. Accumulates its counters into `report`. In
-/// verify-each mode the checker runs after every scalar sub-pass, so
-/// findings carry sub-pass origins like `cse` or `simplify_cfg`.
-#[allow(clippy::too_many_arguments)] // internal driver plumbing
-fn optimize_all(
-    p: &mut Program,
-    opts: &HloOptions,
-    ck: &mut Checker,
-    cache: &mut CallGraphCache,
-    jobs: usize,
-    tracer: &mut Tracer,
-    pass: u32,
-    report: &mut HloReport,
-    mask: Option<&[bool]>,
-) {
-    cleanup_round(p, ck, cache, jobs, tracer, mask);
-    if opts.scope != Scope::CrossModule {
-        return;
-    }
-    let t = Instant::now();
-    let removal = {
-        let cg = cache.graph(p);
-        hlo_opt::eliminate_pure_calls_with_masked(p, cg, mask)
-    };
-    for &f in &removal.changed {
-        cache.invalidate(f);
-    }
-    tracer.leaf_seq("pure_calls", t.elapsed());
-    ck.check(p, "pure_calls");
-    if tracer.decisions_enabled() {
-        for s in &removal.sites {
-            tracer.decision(pure_call_event(
-                p,
-                pass,
-                s.caller,
-                s.block,
-                s.inst,
-                s.callee,
-                "pure-call-removed",
-            ));
-        }
-    }
-    report.pure_calls_removed += removal.removed;
-    if removal.removed > 0 {
-        cleanup_round(p, ck, cache, jobs, tracer, mask);
-    }
-
-    // Summary-driven stage: fold constant returns, delete calls the
-    // summaries prove removable (a strict superset of the syntactic set
-    // above — only newly unlocked sites remain by now), then forward
-    // stores across summary-screened calls. `ipa off` skips all of it and
-    // reproduces the historical pipeline byte for byte.
-    if opts.ipa {
-        let t = Instant::now();
-        let (summaries, syntactic) = {
-            let cg = cache.graph(p);
-            (
-                hlo_ipa::Summaries::compute(p, cg),
-                hlo_analysis::side_effect_free_funcs(p, cg),
-            )
-        };
-        let folds = hlo_opt::fold_const_returns_masked(p, &summaries, mask);
-        for fo in &folds {
-            cache.invalidate(fo.caller);
-        }
-        let ipa_removal = hlo_opt::eliminate_calls_where_masked(p, &summaries.removable(), mask);
-        for &f in &ipa_removal.changed {
-            cache.invalidate(f);
-        }
-        let xstats = hlo_opt::forward_across_calls_masked(p, &summaries, mask);
-        for &f in &xstats.changed {
-            cache.invalidate(f);
-        }
-        tracer.leaf_seq("ipa", t.elapsed());
-        ck.check(p, "ipa");
-        if tracer.decisions_enabled() {
-            for fo in &folds {
-                tracer.decision(pure_call_event(
-                    p,
-                    pass,
-                    fo.caller,
-                    fo.block,
-                    fo.inst,
-                    fo.callee,
-                    "ipa-ret-const",
-                ));
-            }
-            for s in &ipa_removal.sites {
-                let reason = if syntactic[s.callee.index()] {
-                    "pure-call-removed"
-                } else {
-                    "ipa-pure-callee"
-                };
-                tracer.decision(pure_call_event(
-                    p, pass, s.caller, s.block, s.inst, s.callee, reason,
-                ));
-            }
-        }
-        report.ipa_const_folds += folds.len() as u64;
-        report.ipa_pure_calls += ipa_removal.removed;
-        report.ipa_store_forwards += xstats.forwards + xstats.dead_stores;
-        if !folds.is_empty() || ipa_removal.removed > 0 || xstats.forwards + xstats.dead_stores > 0
-        {
-            cleanup_round(p, ck, cache, jobs, tracer, mask);
-        }
     }
 }
 
@@ -1465,60 +1506,93 @@ mod tests {
         }
     }
 
+    /// For every `pass*` span, the name of the span directly enclosing it.
+    fn pass_owners(tracer: &Tracer) -> Vec<String> {
+        let mut open: Vec<&str> = Vec::new();
+        let mut owners = Vec::new();
+        for s in tracer.spans() {
+            open.truncate(s.depth as usize);
+            if s.name.starts_with("pass") {
+                owners.push(open.last().copied().unwrap_or_default().to_string());
+            }
+            open.push(&s.name);
+        }
+        owners
+    }
+
     #[test]
     fn partial_reuse_splices_byte_identical_output() {
         let p0 = hlo_frontc::compile(&three_partition_modules()).unwrap();
         let opts = module_opts();
         let mut full = p0.clone();
-        let out = optimize_partial(&mut full, None, &opts, None, &mut Tracer::disabled());
+        let mut tracer = Tracer::new(TraceLevel::Spans);
+        let out = optimize_partial(&mut full, None, &opts, None, &mut tracer);
         assert!(out.log.rebuilt.iter().all(|&r| r));
         assert!(!out.log.globals_mutated);
         let nparts = out.log.partitions.len();
         assert!(nparts >= 3, "expected >= 3 partitions, got {nparts}");
         assert!(out.report.inlines >= 1, "{}", out.report);
+        // Each partition's passes run inside its own structural span,
+        // which the stage rows never name.
+        let owners = pass_owners(&tracer);
+        let tree = tracer.span_tree_text();
+        assert!(owners.iter().all(|o| o.starts_with("partition:")), "{tree}");
+        for pi in 0..3 {
+            assert!(owners.contains(&format!("partition:{pi}")), "{tree}");
+        }
+        assert!(out
+            .report
+            .stage_timings
+            .iter()
+            .all(|s| !s.stage.starts_with("partition")));
 
         // Rebuild only the partition containing module b's functions and
         // splice the others from the finished build. The result must be
         // byte-identical at every job count.
         let target = p0.find_func("b", "b_main").unwrap();
+        let rebuilt = out
+            .log
+            .partitions
+            .iter()
+            .position(|part| part.contains(&target))
+            .unwrap();
         let full_text = hlo_ir::program_to_text(&full);
         for jobs in [1usize, 4, 8] {
             let plan: Vec<PartitionAction> = (0..nparts)
                 .map(|pi| {
-                    if out.log.partitions[pi].contains(&target) {
+                    if pi == rebuilt {
                         PartitionAction::Rebuild
                     } else {
                         PartitionAction::Reuse(extract_partition(&full, &out.log, pi))
                     }
                 })
                 .collect();
-            let rebuilds = plan
-                .iter()
-                .filter(|a| matches!(a, PartitionAction::Rebuild))
-                .count();
-            assert!(rebuilds < nparts);
             let mut inc = p0.clone();
             let inc_opts = HloOptions {
                 jobs,
                 ..opts.clone()
             };
-            let out2 = optimize_partial(
-                &mut inc,
-                None,
-                &inc_opts,
-                Some(&plan),
-                &mut Tracer::disabled(),
-            );
+            let mut tracer = Tracer::new(TraceLevel::Spans);
+            let out2 = optimize_partial(&mut inc, None, &inc_opts, Some(&plan), &mut tracer);
             assert_eq!(
                 full_text,
                 hlo_ir::program_to_text(&inc),
                 "incremental output diverged at jobs={jobs}"
             );
             assert_eq!(
-                out2.log.rebuilt.iter().filter(|&&r| r).count(),
-                rebuilds,
-                "only the planned partitions rebuild"
+                out2.log.rebuilt,
+                (0..nparts).map(|pi| pi == rebuilt).collect::<Vec<_>>(),
+                "only the planned partition rebuilds"
             );
+            // A splice gets its span too, but runs no pass.
+            let tree = tracer.span_tree_text();
+            assert!(
+                pass_owners(&tracer)
+                    .iter()
+                    .all(|o| *o == format!("partition:{rebuilt}")),
+                "{tree}"
+            );
+            assert_eq!(tree.matches("partition:").count(), nparts, "{tree}");
             hlo_ir::verify_program(&inc).unwrap();
         }
     }

@@ -106,13 +106,11 @@ struct PartitionPlan {
 /// on the worker pool unless the Figure 8 operation cap is active (a
 /// global sequential counter). Accepted inlines are then performed in
 /// partition order, schedule order within each.
-#[allow(clippy::too_many_arguments)] // mirrors the pass plumbing
 pub fn inline_pass(
     p: &mut Program,
     budget: &mut Budget,
     pass: usize,
     opts: &HloOptions,
-    mask: Option<&[bool]>,
     ops_left: &mut Option<u64>,
     cache: &mut CallGraphCache,
     tracer: &mut Tracer,
@@ -139,19 +137,6 @@ pub fn inline_pass(
         }
         let mut tasks: Vec<PartitionTask> = Vec::new();
         for part in cg.partitions() {
-            // Under a cache-partition mask, plan only the live components
-            // inside the active partition. A live component never straddles
-            // two cache partitions (direct edges don't cross them), so
-            // checking one member covers all of them.
-            if let Some(m) = mask {
-                if !m.get(part.funcs[0].index()).copied().unwrap_or(false) {
-                    continue;
-                }
-                debug_assert!(part
-                    .funcs
-                    .iter()
-                    .all(|&f| m.get(f.index()).copied().unwrap_or(false)));
-            }
             let mut candidates: Vec<Candidate> = Vec::new();
             for &ei in &part.edge_indices {
                 let edge = &cg.edges[ei];
@@ -356,18 +341,14 @@ pub fn inline_pass(
     let splice_elapsed = apply_start.elapsed();
 
     // Re-optimize the callers that grew (Figure 4 "optimize inlines") on
-    // the worker pool, then recalibrate from measured sizes. Each touched
-    // caller's cached call-graph scan is stale now.
+    // the worker pool. Each touched caller's cached call-graph scan is
+    // stale now. The budget keeps the charged estimate; the driver
+    // recalibrates it from measured sizes once the pass's cleanup is done.
     let reopt_start = Instant::now();
     let out = par_funcs_mut(jobs, p, &touched, |_, f| hlo_opt::optimize_function(f));
     for &f in &touched {
         cache.invalidate(f);
     }
-    // Under a mask the budget tracks only the active partition's cost.
-    budget.recalibrate(match mask {
-        Some(m) => crate::driver::masked_cost(p, m),
-        None => p.compile_cost(),
-    });
     result.apply_wall = splice_elapsed + reopt_start.elapsed();
     result.apply_work = splice_elapsed + out.work;
 
@@ -494,7 +475,6 @@ mod tests {
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
             &mut Tracer::disabled(),
@@ -548,7 +528,6 @@ mod tests {
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
             &mut Tracer::disabled(),
@@ -646,7 +625,6 @@ mod tests {
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut ops,
             &mut cache,
             &mut Tracer::disabled(),
@@ -669,7 +647,6 @@ mod tests {
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
             &mut Tracer::disabled(),
@@ -724,7 +701,6 @@ mod tests {
                 &mut budget,
                 0,
                 &opts,
-                None,
                 &mut None,
                 &mut cache,
                 &mut Tracer::disabled(),
@@ -752,7 +728,6 @@ mod tests {
             &mut budget,
             0,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
             &mut Tracer::disabled(),
@@ -763,7 +738,6 @@ mod tests {
             &mut budget,
             1,
             &HloOptions::default(),
-            None,
             &mut None,
             &mut cache,
             &mut Tracer::disabled(),

@@ -57,7 +57,7 @@ mod transform;
 
 pub use budget::{Budget, BudgetSet};
 pub use cloner::{CloneDb, CloneSpec};
-pub use delete::{delete_unreachable, delete_unreachable_masked};
+pub use delete::delete_unreachable;
 pub use driver::{
     extract_partition, optimize, optimize_partial, optimize_traced, BuildLog, HloOptions,
     PartialOutcome, PartitionAction, ReusedPartition, Scope, CLONE_REF_BASE,

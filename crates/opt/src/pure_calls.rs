@@ -50,20 +50,8 @@ pub fn eliminate_pure_calls(p: &mut Program) -> u64 {
 /// [`eliminate_pure_calls`] against a caller-supplied call graph, with a
 /// report of which functions were edited.
 pub fn eliminate_pure_calls_with(p: &mut Program, cg: &CallGraph) -> PureCallRemoval {
-    eliminate_pure_calls_with_masked(p, cg, None)
-}
-
-/// [`eliminate_pure_calls_with`] restricted to callers `mask` selects
-/// (`None` = all). Purity facts are still computed program-wide; the mask
-/// only limits which *callers* are edited — the incremental driver uses it
-/// to touch one cache partition at a time.
-pub fn eliminate_pure_calls_with_masked(
-    p: &mut Program,
-    cg: &CallGraph,
-    mask: Option<&[bool]>,
-) -> PureCallRemoval {
     let free = side_effect_free_funcs(p, cg);
-    eliminate_calls_where_masked(p, &free, mask)
+    eliminate_calls_where(p, &free)
 }
 
 /// The deletion engine behind [`eliminate_pure_calls_with`], parameterized
@@ -72,24 +60,11 @@ pub fn eliminate_pure_calls_with_masked(
 /// wrapper passes `side_effect_free_funcs`; the driver's ipa stage passes
 /// the summary-based removable set (a strict superset).
 pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRemoval {
-    eliminate_calls_where_masked(p, deletable, None)
-}
-
-/// [`eliminate_calls_where`] restricted to callers `mask` selects
-/// (`None` = all).
-pub fn eliminate_calls_where_masked(
-    p: &mut Program,
-    deletable: &[bool],
-    mask: Option<&[bool]>,
-) -> PureCallRemoval {
     let free = deletable;
     let mut removed = 0;
     let mut changed = Vec::new();
     let mut sites = Vec::new();
     for (fi, f) in p.funcs.iter_mut().enumerate() {
-        if !mask.is_none_or(|m| m.get(fi).copied().unwrap_or(false)) {
-            continue;
-        }
         let live_out = live_out_sets(f);
         let mut func_changed = false;
         for (bi, block) in f.blocks.iter_mut().enumerate() {

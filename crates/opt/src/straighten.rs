@@ -169,19 +169,8 @@ pub fn straighten_blocks(f: &mut Function) -> bool {
 /// Straightens every function of a program. Returns how many functions
 /// changed.
 pub fn straighten_program(p: &mut hlo_ir::Program) -> u64 {
-    straighten_program_masked(p, None)
-}
-
-/// [`straighten_program`] restricted to functions `mask` selects (`None`
-/// = all). Straightening is purely per-function, so the incremental
-/// driver skips functions spliced from cache (their cached bodies are
-/// already straightened).
-pub fn straighten_program_masked(p: &mut hlo_ir::Program, mask: Option<&[bool]>) -> u64 {
     let mut changed = 0;
-    for (fi, f) in p.funcs.iter_mut().enumerate() {
-        if !mask.is_none_or(|m| m.get(fi).copied().unwrap_or(false)) {
-            continue;
-        }
+    for f in &mut p.funcs {
         if straighten_blocks(f) {
             changed += 1;
         }

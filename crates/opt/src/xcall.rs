@@ -45,22 +45,8 @@ pub struct ConstRetFold {
 /// with the constant. Removable callees lose the whole call; effectful
 /// ones keep it (result discarded) and the constant materializes after it.
 pub fn fold_const_returns(p: &mut Program, summaries: &Summaries) -> Vec<ConstRetFold> {
-    fold_const_returns_masked(p, summaries, None)
-}
-
-/// [`fold_const_returns`] restricted to callers `mask` selects (`None` =
-/// all). Summaries stay program-wide; the mask only limits which callers
-/// are rewritten.
-pub fn fold_const_returns_masked(
-    p: &mut Program,
-    summaries: &Summaries,
-    mask: Option<&[bool]>,
-) -> Vec<ConstRetFold> {
     let mut folds = Vec::new();
     for (fi, f) in p.funcs.iter_mut().enumerate() {
-        if !mask.is_none_or(|m| m.get(fi).copied().unwrap_or(false)) {
-            continue;
-        }
         for (bi, block) in f.blocks.iter_mut().enumerate() {
             let mut rewritten: Vec<Inst> = Vec::with_capacity(block.insts.len());
             for (ii, inst) in block.insts.drain(..).enumerate() {
@@ -217,21 +203,8 @@ fn may_alias(a: BaseKey, b: BaseKey) -> bool {
 /// Store-to-load forwarding that survives calls whose summaries bound what
 /// they touch, plus cross-call dead-store elimination for globals.
 pub fn forward_across_calls(p: &mut Program, summaries: &Summaries) -> CrossCallStats {
-    forward_across_calls_masked(p, summaries, None)
-}
-
-/// [`forward_across_calls`] restricted to callers `mask` selects (`None`
-/// = all).
-pub fn forward_across_calls_masked(
-    p: &mut Program,
-    summaries: &Summaries,
-    mask: Option<&[bool]>,
-) -> CrossCallStats {
     let mut stats = CrossCallStats::default();
     for (fi, f) in p.funcs.iter_mut().enumerate() {
-        if !mask.is_none_or(|m| m.get(fi).copied().unwrap_or(false)) {
-            continue;
-        }
         let regs = addr_regs(f);
         let mut forwards = 0;
         let mut dead = 0;

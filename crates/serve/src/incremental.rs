@@ -17,7 +17,6 @@
 //! refuses (and the daemon falls back to a full rebuild, counted as
 //! `incr-fallback`) when:
 //!
-//! * the request disabled incremental mode (`--no-incremental`);
 //! * outlining is on (outline builds are whole-program by construction);
 //! * `max_ops` is set (the operation cap is a global sequential counter,
 //!   so one partition's spend changes another's plan);
@@ -47,9 +46,6 @@ pub fn eligible_partitions(
     opts: &HloOptions,
     cg: &mut CallGraphCache,
 ) -> Result<Vec<CallGraphPartition>, &'static str> {
-    if !opts.incremental {
-        return Err("incremental disabled by request");
-    }
     if opts.enable_outline {
         return Err("outline builds are whole-program");
     }
@@ -184,10 +180,6 @@ mod tests {
         let mut cg = CallGraphCache::new();
         assert!(eligible_partitions(&p, &opts, &mut cg).is_ok());
         for bad in [
-            HloOptions {
-                incremental: false,
-                ..opts.clone()
-            },
             HloOptions {
                 enable_outline: true,
                 ..opts.clone()

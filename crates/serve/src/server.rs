@@ -8,9 +8,9 @@
 //! worker picks it up, so a queue stuffed by a slow burst sheds expired
 //! work instead of optimizing it late. Workers run the ordinary
 //! [`hlo::optimize`] pipeline, whose per-function stages fan out over the
-//! `hlo::par` pool at the request's `jobs` setting — or, on a warm miss
-//! with incremental recompilation enabled, [`hlo::optimize_partial`] with
-//! a plan that splices cached partition bodies (see [`crate::incremental`]).
+//! `hlo::par` pool at the request's `jobs` setting — or, on a miss of a
+//! partition-cacheable request, [`hlo::optimize_partial`] with a plan
+//! that splices cached partition bodies (see [`crate::incremental`]).
 //!
 //! Shutdown is graceful: draining stops the accept loop and makes new
 //! optimize requests fail fast, but everything already queued or running
@@ -66,11 +66,6 @@ pub struct ServeConfig {
     /// and persisted (write-temp-then-rename) after every mutation, so
     /// aggregates survive restarts.
     pub pgo_store_path: Option<PathBuf>,
-    /// Function-grain incremental recompilation: on a program-cache miss,
-    /// splice cached partition bodies and re-optimize only invalidated
-    /// partitions. `false` makes every miss a full rebuild
-    /// (`hlod --no-incremental`).
-    pub incremental: bool,
     /// Structured event log file (`hlod --log PATH`): crash-safe append,
     /// one event per line. `None` = no file sink.
     pub event_log_path: Option<PathBuf>,
@@ -99,7 +94,6 @@ impl Default for ServeConfig {
             pgo_hot_set: hlo_pgo::DEFAULT_HOT_SET,
             pgo_cap: hlo_pgo::store::DEFAULT_CAP,
             pgo_store_path: None,
-            incremental: true,
             event_log_path: None,
             log_stderr: false,
             slow_ms: None,
@@ -889,11 +883,10 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     frame
 }
 
-/// Optimizes a program the cache could not serve whole. With incremental
-/// recompilation enabled (daemon *and* request), probe the partition
-/// store per call-graph partition and hand [`hlo::optimize_partial`] a
-/// plan that splices every hit byte-for-byte; only invalidated partitions
-/// run the pipeline. The finished partitions (spliced and rebuilt alike)
+/// Optimizes a program the cache could not serve whole: probe the
+/// partition store per call-graph partition and hand
+/// [`hlo::optimize_partial`] a plan that splices every hit byte-for-byte;
+/// only invalidated partitions run the pipeline. The finished partitions (spliced and rebuilt alike)
 /// re-populate the store, so the next edit's unchanged partitions keep
 /// hitting. Any refusal — the request is not partition-cacheable, or the
 /// spliced result fails IR verification — falls back to a plain full
@@ -921,71 +914,61 @@ fn optimize_miss(
                 .field("reason", reason),
         );
     };
-    if shared.cfg.incremental {
-        match incremental::eligible_partitions(program, opts, cg) {
-            Ok(partitions) => {
-                let pkeys =
-                    incremental::partition_keys(program, &partitions, &key.funcs, profile_salt);
-                let plan: Vec<PartitionAction> = {
-                    let mut cache = shared.cache.lock().unwrap();
-                    pkeys
-                        .iter()
-                        .map(|&k| match cache.probe_partition(k) {
-                            Some(stored) => PartitionAction::Reuse(stored),
-                            None => PartitionAction::Rebuild,
-                        })
-                        .collect()
-                };
-                let hits = plan
+    match incremental::eligible_partitions(program, opts, cg) {
+        Ok(partitions) => {
+            let pkeys = incremental::partition_keys(program, &partitions, &key.funcs, profile_salt);
+            let plan: Vec<PartitionAction> = {
+                let mut cache = shared.cache.lock().unwrap();
+                pkeys
                     .iter()
-                    .filter(|a| matches!(a, PartitionAction::Reuse(_)))
-                    .count() as u64;
-                let rebuilds = pkeys.len() as u64 - hits;
-                // Splicing stored bodies is the only step that can go
-                // wrong at request time; keep the input around so a
-                // verification failure can rebuild from scratch. A plan
-                // with no hits *is* a from-scratch build — nothing to
-                // verify or restore.
-                let backup = (hits > 0).then(|| program.clone());
-                let out = hlo::optimize_partial(program, profile, opts, Some(&plan), tracer);
-                if hits == 0 || hlo_ir::verify_program(program).is_ok() {
-                    outcome.partition_hits = hits;
-                    outcome.partition_rebuilds = rebuilds;
-                    {
-                        let mut cache = shared.cache.lock().unwrap();
-                        cache.note_incremental(hits, rebuilds);
-                        // A build that renamed globals mutated state
-                        // outside its partitions' bodies — its outputs
-                        // are not pure functions of their partitions, so
-                        // they must not seed future splices.
-                        if !out.log.globals_mutated {
-                            for (pi, &k) in pkeys.iter().enumerate() {
-                                cache.insert_partition(
-                                    k,
-                                    hlo::extract_partition(program, &out.log, pi),
-                                );
-                            }
+                    .map(|&k| match cache.probe_partition(k) {
+                        Some(stored) => PartitionAction::Reuse(stored),
+                        None => PartitionAction::Rebuild,
+                    })
+                    .collect()
+            };
+            let hits = plan
+                .iter()
+                .filter(|a| matches!(a, PartitionAction::Reuse(_)))
+                .count() as u64;
+            let rebuilds = pkeys.len() as u64 - hits;
+            // Splicing stored bodies is the only step that can go
+            // wrong at request time; keep the input around so a
+            // verification failure can rebuild from scratch. A plan
+            // with no hits *is* a from-scratch build — nothing to
+            // verify or restore.
+            let backup = (hits > 0).then(|| program.clone());
+            let out = hlo::optimize_partial(program, profile, opts, Some(&plan), tracer);
+            if hits == 0 || hlo_ir::verify_program(program).is_ok() {
+                outcome.partition_hits = hits;
+                outcome.partition_rebuilds = rebuilds;
+                {
+                    let mut cache = shared.cache.lock().unwrap();
+                    cache.note_incremental(hits, rebuilds);
+                    // A build that renamed globals mutated state
+                    // outside its partitions' bodies — its outputs
+                    // are not pure functions of their partitions, so
+                    // they must not seed future splices.
+                    if !out.log.globals_mutated {
+                        for (pi, &k) in pkeys.iter().enumerate() {
+                            cache
+                                .insert_partition(k, hlo::extract_partition(program, &out.log, pi));
                         }
                     }
-                    shared.metrics.add("incr_partition_hits_total", hits);
-                    shared
-                        .metrics
-                        .add("incr_partition_rebuilds_total", rebuilds);
-                    return out.report;
                 }
-                *program = backup.expect("hits > 0 implies a backup was taken");
-                outcome.incr_fallback = true;
-                note_fallback(shared, "verify");
+                shared.metrics.add("incr_partition_hits_total", hits);
+                shared
+                    .metrics
+                    .add("incr_partition_rebuilds_total", rebuilds);
+                return out.report;
             }
-            Err(_reason) => {
-                // Only count a fallback when the request *wanted*
-                // incremental — `--no-incremental` requests asked for a
-                // full rebuild, that is not a fallback.
-                if opts.incremental {
-                    outcome.incr_fallback = true;
-                    note_fallback(shared, "ineligible");
-                }
-            }
+            *program = backup.expect("hits > 0 implies a backup was taken");
+            outcome.incr_fallback = true;
+            note_fallback(shared, "verify");
+        }
+        Err(_reason) => {
+            outcome.incr_fallback = true;
+            note_fallback(shared, "ineligible");
         }
     }
     hlo::optimize_traced(program, profile, opts, tracer)

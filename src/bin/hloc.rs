@@ -119,8 +119,6 @@ BUILD OPTIONS:
   --no-inline              disable the inlining passes
   --no-clone               disable the cloning passes
   --no-ipa                 disable the interprocedural-summary stage
-  --no-incremental         ask a daemon for a full rebuild instead of
-                           function-grain incremental recompilation
   --outline                enable aggressive outlining (paper's future work)
   --train N                profile-guided: training run with scale argument N
   --arg N                  argument passed to main for --run/--sim (default 0)
@@ -203,7 +201,6 @@ fn parse_build_args(rest: &[String]) -> Result<Parsed, String> {
             "--no-inline" => p.opts.enable_inline = false,
             "--no-clone" => p.opts.enable_clone = false,
             "--no-ipa" => p.opts.ipa = false,
-            "--no-incremental" => p.opts.incremental = false,
             "--outline" => p.opts.enable_outline = true,
             "--verify-each" => p.opts.check = hlo::CheckLevel::Strict,
             "--check" => p.opts.check = value("--check")?.parse()?,
@@ -769,7 +766,6 @@ fn remote_build(client: &mut serve::Client, rest: &[String]) -> Result<(), Strin
             "--no-inline" => opts.enable_inline = false,
             "--no-clone" => opts.enable_clone = false,
             "--no-ipa" => opts.ipa = false,
-            "--no-incremental" => opts.incremental = false,
             "--outline" => opts.enable_outline = true,
             "--profile" => profile_path = Some(value("--profile")?),
             "--server-profile" => server_profile = true,

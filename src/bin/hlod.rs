@@ -4,7 +4,7 @@
 //! hlod [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //!      [--max-payload BYTES] [--deadline-ms N]
 //!      [--pgo-threshold MILLIS] [--pgo-cap N] [--pgo-store PATH]
-//!      [--no-incremental] [--log PATH] [--log-stderr]
+//!      [--log PATH] [--log-stderr]
 //!      [--slow-ms N] [--flight-cap N]
 //! hlod --version
 //! ```
@@ -91,7 +91,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--pgo-store" => {
                 cfg.pgo_store_path = Some(std::path::PathBuf::from(value("--pgo-store")?))
             }
-            "--no-incremental" => cfg.incremental = false,
             "--log" => cfg.event_log_path = Some(std::path::PathBuf::from(value("--log")?)),
             "--log-stderr" => cfg.log_stderr = true,
             "--slow-ms" => {
@@ -137,8 +136,6 @@ OPTIONS:
   --pgo-cap N          profile aggregates kept, LRU past this (default: 64)
   --pgo-store PATH     persist the profile store to PATH (crash-safe
                        write+rename; reloaded on startup)
-  --no-incremental     rebuild whole programs on every cache miss instead
-                       of splicing cached per-partition results
   --log PATH           append structured events (crash-safe, one per line)
   --log-stderr         also mirror structured events to stderr
   --slow-ms N          wall-time bound; slower requests are logged and the
