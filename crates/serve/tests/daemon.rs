@@ -360,12 +360,14 @@ fn client_disconnect_mid_request_does_not_kill_the_daemon() {
     drop(raw);
 
     // Give the abandoned job time to finish, then prove the daemon is
-    // healthy and that the abandoned request warmed the cache.
+    // healthy and that the abandoned request warmed the cache. The miss
+    // is counted when the job starts and the entry appears when it ends,
+    // so wait for the entry.
     let mut client = Client::connect(addr).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         let stats = client.stats().unwrap();
-        if stats.misses >= 1 {
+        if stats.entries >= 1 {
             break;
         }
         assert!(
