@@ -49,11 +49,10 @@ fn golden_table_covers_the_whole_suite() {
 
 /// One pinned optimizer build: (program, configuration, FNV-1a-64 of the
 /// optimized program's IR text, the report's counters as rendered by
-/// [`build_counters`]). Programs are the suite with (`+train`) and without
-/// its trained profile, the 24-module edit program, and 20 fuzz-generated
-/// programs; configurations are listed in [`configurations`]. This table
-/// pins the optimizer's output across refactors of the driver: any change
-/// to it is a change of behaviour, never a formatting update.
+/// [`build_counters`]). Programs are those of [`pinned_programs`];
+/// configurations are listed in [`configurations`]. This table pins the
+/// optimizer's output across refactors of the driver: any change to it is
+/// a change of behaviour, never a formatting update.
 const BUILDS: &[(&str, &str, u64, &str)] = &[
     ("008.espresso", "default", 0xd5bfd357411259f7, "inl 9 cl 0 repl 0 del 11 out 0 pure 0 ipa 0/0/0 cost 8570->15143 limit 17140 str 4 p0:6/0/0/0/6/9692 p1:1/0/0/0/1/11193 p2:1/0/0/0/1/12710 p3:1/0/0/0/1/15143"),
     ("008.espresso", "module", 0x8846be087df07d86, "inl 7 cl 0 repl 0 del 4 out 0 pure 0 ipa 0/0/0 cost 8581->15163 limit 17162 str 5 p0:4/0/0/0/2/9699 p1:1/0/0/0/1/11736 p2:1/0/0/0/0/12184 p3:1/0/0/0/1/15163"),
@@ -411,7 +410,13 @@ const BUILDS: &[(&str, &str, u64, &str)] = &[
     ("fuzz19", "budget400", 0xceb33d57dbd3928f, "inl 2 cl 1 repl 1 del 6 out 0 pure 0 ipa 0/0/0 cost 13364->28230 limit 66820 str 1 p0:1/1/0/1/2/14793 p1:1/0/0/0/1/28230 p2:0/0/0/0/0/28230 p3:0/0/0/0/0/28230"),
     ("fuzz19", "max-ops8", 0x47910fa12fcb702b, "inl 1 cl 1 repl 1 del 5 out 0 pure 0 ipa 0/0/0 cost 13364->14793 limit 26728 str 2 p0:1/1/0/1/2/14793 p1:0/0/0/0/0/14793 p2:0/0/0/0/0/14793 p3:0/0/0/0/0/14793"),
     ("fuzz19", "jobs4", 0x47910fa12fcb702b, "inl 1 cl 1 repl 1 del 5 out 0 pure 0 ipa 0/0/0 cost 13364->14793 limit 26728 str 2 p0:1/1/0/1/2/14793 p1:0/0/0/0/0/14793 p2:0/0/0/0/0/14793 p3:0/0/0/0/0/14793"),
-    ("fuzz19", "strict", 0x47910fa12fcb702b, "inl 1 cl 1 repl 1 del 5 out 0 pure 0 ipa 0/0/0 cost 13364->14793 limit 26728 str 2 p0:1/1/0/1/2/14793 p1:0/0/0/0/0/14793 p2:0/0/0/0/0/14793 p3:0/0/0/0/0/14793"),
+    ("fuzz19", "strict", 0x47910fa12fcb702b, "inl 1 cl 1 repl 1 del 5 out 0 pure 0 ipa 0/0/0 cost 13364->14793 limit 26728 str 2 p0:1/1/0/1/2/14793 p1:0/0/0/0/0/14793 p2:0/0/0/0/0/14793 p3:0/0/0/0/0/14793"),    ("purecalls", "default", 0xedd8abb491c307e3, "inl 0 cl 0 repl 0 del 3 out 0 pure 1 ipa 1/1/0 cost 147->147 limit 294 str 0 p0:0/0/0/0/0/147 p1:0/0/0/0/0/147 p2:0/0/0/0/0/147 p3:0/0/0/0/0/147"),
+    ("purecalls", "module", 0x7c05d778f22604f6, "inl 2 cl 0 repl 0 del 2 out 0 pure 0 ipa 0/0/0 cost 522->427 limit 1044 str 1 p0:1/0/0/0/1/483 p1:1/0/0/0/1/427 p2:0/0/0/0/0/427 p3:0/0/0/0/0/427"),
+    ("purecalls", "no-ipa", 0x550156444fb70dd6, "inl 1 cl 0 repl 0 del 2 out 0 pure 1 ipa 0/0/0 cost 483->427 limit 966 str 1 p0:1/0/0/0/1/427 p1:0/0/0/0/0/427 p2:0/0/0/0/0/427 p3:0/0/0/0/0/427"),
+    ("purecalls", "budget400", 0xedd8abb491c307e3, "inl 0 cl 0 repl 0 del 3 out 0 pure 1 ipa 1/1/0 cost 147->147 limit 735 str 0 p0:0/0/0/0/0/147 p1:0/0/0/0/0/147 p2:0/0/0/0/0/147 p3:0/0/0/0/0/147"),
+    ("purecalls", "max-ops8", 0xedd8abb491c307e3, "inl 0 cl 0 repl 0 del 3 out 0 pure 1 ipa 1/1/0 cost 147->147 limit 294 str 0 p0:0/0/0/0/0/147 p1:0/0/0/0/0/147 p2:0/0/0/0/0/147 p3:0/0/0/0/0/147"),
+    ("purecalls", "jobs4", 0xedd8abb491c307e3, "inl 0 cl 0 repl 0 del 3 out 0 pure 1 ipa 1/1/0 cost 147->147 limit 294 str 0 p0:0/0/0/0/0/147 p1:0/0/0/0/0/147 p2:0/0/0/0/0/147 p3:0/0/0/0/0/147"),
+    ("purecalls", "strict", 0xedd8abb491c307e3, "inl 0 cl 0 repl 0 del 3 out 0 pure 1 ipa 1/1/0 cost 147->147 limit 294 str 0 p0:0/0/0/0/0/147 p1:0/0/0/0/0/147 p2:0/0/0/0/0/147 p3:0/0/0/0/0/147"),
 ];
 
 /// The configurations every pinned program is built under. `outline` runs
@@ -523,6 +528,18 @@ fn edit_program_sources() -> Vec<(String, String)> {
         .collect()
 }
 
+/// A program whose default build deletes a call in each of the three ways
+/// the summary stage can: `leaf` passes the paper's syntactic
+/// side-effect test (`pure-call-removed`), `scratch` fills a local array
+/// so only the summaries admit it (`ipa-pure-callee`), and `seven`'s
+/// constant return is folded into its caller (`ipa-ret-const`).
+const PURE_CALLS_FIXTURE: &str = "
+static fn leaf(x) { return x * 3 + 1; }
+static fn seven() { return 7; }
+static fn scratch(n) { var t[2]; if (n > 0) { t[0] = n; t[1] = n + 1; } else { t[0] = 1; t[1] = 2; } return t[0] + t[1]; }
+fn main(n) { leaf(n); scratch(n); var k = seven(); var s = 0; for (var i = 0; i < n; i = i + 1) { s = s + i * k; } return s; }
+";
+
 fn compile_sources(sources: &[(String, String)]) -> ir::Program {
     let refs: Vec<(&str, &str)> = sources
         .iter()
@@ -531,7 +548,10 @@ fn compile_sources(sources: &[(String, String)]) -> ir::Program {
     frontc::compile(&refs).expect("pinned program compiles")
 }
 
-/// Every pinned program: (name, input program, trained profile).
+/// Every pinned program: (name, input program, trained profile). They are
+/// the suite with (`+train`) and without its trained profile, the
+/// 24-module edit program, 20 fuzz-generated programs and the pure-call
+/// fixture.
 fn pinned_programs() -> Vec<(String, ir::Program, Option<profile::ProfileDb>)> {
     let mut out = Vec::new();
     for b in suite::all_benchmarks() {
@@ -550,6 +570,8 @@ fn pinned_programs() -> Vec<(String, ir::Program, Option<profile::ProfileDb>)> {
         let sources = fuzz::generate_sources(seed, &fuzz::GenConfig::default());
         out.push((format!("fuzz{seed}"), compile_sources(&sources), None));
     }
+    let fixture = [("purecalls".to_string(), PURE_CALLS_FIXTURE.to_string())];
+    out.push(("purecalls".to_string(), compile_sources(&fixture), None));
     out
 }
 
@@ -586,6 +608,149 @@ fn optimizer_builds_match_pinned_output() {
         "{} of {} pinned builds differ ({} rows computed):\n{}\n\nfull table:\n{table}",
         mismatches.len(),
         BUILDS.len(),
+        rows.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// One pinned decision report: (program, configuration, FNV-1a-64 of
+/// `Tracer::decision_report(None)` after a build traced at
+/// `TraceLevel::Decisions`), for every program of [`pinned_programs`]
+/// under the `default` and `no-ipa` configurations. It pins which sites
+/// each stage decides on and the reason label each decision carries.
+const DECISIONS: &[(&str, &str, u64)] = &[
+    ("008.espresso", "default", 0xce58b92af5cffdc5),
+    ("008.espresso", "no-ipa", 0x6b5145f3e84b0522),
+    ("008.espresso+train", "default", 0x765f599cec18294e),
+    ("008.espresso+train", "no-ipa", 0x90ff825b4bc2cd80),
+    ("022.li", "default", 0x7e4f161855df4018),
+    ("022.li", "no-ipa", 0x0f11ae824ea40fda),
+    ("022.li+train", "default", 0xaac41e4b01366fca),
+    ("022.li+train", "no-ipa", 0x0f8a8866f37a0c09),
+    ("023.eqntott", "default", 0x2a1279f24d10423d),
+    ("023.eqntott", "no-ipa", 0x4b55b12357f32b62),
+    ("023.eqntott+train", "default", 0xec3e2dab45180e71),
+    ("023.eqntott+train", "no-ipa", 0xd209834af02f840c),
+    ("026.compress", "default", 0xc83418e417e12c12),
+    ("026.compress", "no-ipa", 0xc83418e417e12c12),
+    ("026.compress+train", "default", 0xc909ca99675ae695),
+    ("026.compress+train", "no-ipa", 0xc909ca99675ae695),
+    ("072.sc", "default", 0xa07b2a56fa31c5e7),
+    ("072.sc", "no-ipa", 0xc100096b26e6f66a),
+    ("072.sc+train", "default", 0x9ae61f03d7b3aad9),
+    ("072.sc+train", "no-ipa", 0x88076aabdd464df9),
+    ("085.gcc", "default", 0x2b2cc7c82265b50e),
+    ("085.gcc", "no-ipa", 0x3869189e974ea277),
+    ("085.gcc+train", "default", 0x29a23eb9089d6aee),
+    ("085.gcc+train", "no-ipa", 0x887b75e637f449a8),
+    ("099.go", "default", 0xb66a31eb3a827815),
+    ("099.go", "no-ipa", 0x50a7624a4f25e7ba),
+    ("099.go+train", "default", 0x23d4a5673b2f7dd1),
+    ("099.go+train", "no-ipa", 0x02b26a40e5f63a14),
+    ("124.m88ksim", "default", 0xdd8d81d5f626fbfa),
+    ("124.m88ksim", "no-ipa", 0x74d6d9d766800888),
+    ("124.m88ksim+train", "default", 0x1f6d900baba3851a),
+    ("124.m88ksim+train", "no-ipa", 0xc1ca5dc91697a808),
+    ("126.gcc", "default", 0x27bbcba6f9a1e592),
+    ("126.gcc", "no-ipa", 0x4441453e6f77737b),
+    ("126.gcc+train", "default", 0x7b6a8e57d0812282),
+    ("126.gcc+train", "no-ipa", 0xf1602f6290789929),
+    ("129.compress", "default", 0x49e0d747809c337e),
+    ("129.compress", "no-ipa", 0x49e0d747809c337e),
+    ("129.compress+train", "default", 0x90e01fc087b6f625),
+    ("129.compress+train", "no-ipa", 0x90e01fc087b6f625),
+    ("130.li", "default", 0x84ad405b531280a4),
+    ("130.li", "no-ipa", 0x810ee3aed3951262),
+    ("130.li+train", "default", 0x38c8b3ae2a792c0f),
+    ("130.li+train", "no-ipa", 0xfb76cb3f2dca9d68),
+    ("132.ijpeg", "default", 0xae983c1a80cf2971),
+    ("132.ijpeg", "no-ipa", 0x5fa9a735e75f3550),
+    ("132.ijpeg+train", "default", 0x63c605009a471ee8),
+    ("132.ijpeg+train", "no-ipa", 0x9c3d4859d3f0fbdf),
+    ("134.perl", "default", 0x949df0349d3178ca),
+    ("134.perl", "no-ipa", 0x7391b36f27196489),
+    ("134.perl+train", "default", 0xb525097a9fee7f22),
+    ("134.perl+train", "no-ipa", 0xbdb9d7cbfa291f76),
+    ("147.vortex", "default", 0x1e69624769685ee2),
+    ("147.vortex", "no-ipa", 0x8001aa60ee7f7887),
+    ("147.vortex+train", "default", 0x63d123a2e115967d),
+    ("147.vortex+train", "no-ipa", 0x95f409ceb7f69424),
+    ("edit24", "default", 0xcbf29ce484222325),
+    ("edit24", "no-ipa", 0xcbf29ce484222325),
+    ("fuzz0", "default", 0xb13837bdb70a9a3a),
+    ("fuzz0", "no-ipa", 0x0a0f998964c627ed),
+    ("fuzz1", "default", 0xa48940331386431f),
+    ("fuzz1", "no-ipa", 0xcb2e15a604e896e0),
+    ("fuzz2", "default", 0xffa8d62f088715ba),
+    ("fuzz2", "no-ipa", 0xffa8d62f088715ba),
+    ("fuzz3", "default", 0xb199bb750bf38367),
+    ("fuzz3", "no-ipa", 0xf12e0ca1593d0c7a),
+    ("fuzz4", "default", 0x9c84ff692de51e2b),
+    ("fuzz4", "no-ipa", 0x9c84ff692de51e2b),
+    ("fuzz5", "default", 0x75b00daae3708686),
+    ("fuzz5", "no-ipa", 0x75b00daae3708686),
+    ("fuzz6", "default", 0x1521cb034dbd69fd),
+    ("fuzz6", "no-ipa", 0x1521cb034dbd69fd),
+    ("fuzz7", "default", 0x47a18926df506381),
+    ("fuzz7", "no-ipa", 0x47a18926df506381),
+    ("fuzz8", "default", 0x8d501035a4c00635),
+    ("fuzz8", "no-ipa", 0x73242159431d2395),
+    ("fuzz9", "default", 0x11c953fa5bfed49e),
+    ("fuzz9", "no-ipa", 0x11c953fa5bfed49e),
+    ("fuzz10", "default", 0xe39c062f11d3b107),
+    ("fuzz10", "no-ipa", 0xe39c062f11d3b107),
+    ("fuzz11", "default", 0xbd41f2ed42fc30f4),
+    ("fuzz11", "no-ipa", 0xbd41f2ed42fc30f4),
+    ("fuzz12", "default", 0xcbf29ce484222325),
+    ("fuzz12", "no-ipa", 0xcbf29ce484222325),
+    ("fuzz13", "default", 0xcbf29ce484222325),
+    ("fuzz13", "no-ipa", 0xcbf29ce484222325),
+    ("fuzz14", "default", 0xea2c79531f9ec0a9),
+    ("fuzz14", "no-ipa", 0xea2c79531f9ec0a9),
+    ("fuzz15", "default", 0xb2c367a95ed31d69),
+    ("fuzz15", "no-ipa", 0xd56022c0f4c4bd10),
+    ("fuzz16", "default", 0x5b7aa4a2bef9c131),
+    ("fuzz16", "no-ipa", 0x5b7aa4a2bef9c131),
+    ("fuzz17", "default", 0xcbf29ce484222325),
+    ("fuzz17", "no-ipa", 0xcbf29ce484222325),
+    ("fuzz18", "default", 0xb53b034f42ad5c3c),
+    ("fuzz18", "no-ipa", 0xd9a2e6f015b96b30),
+    ("fuzz19", "default", 0xcb489c2f92858c0d),
+    ("fuzz19", "no-ipa", 0xcb489c2f92858c0d),
+    ("purecalls", "default", 0x8a31636350bc6f8b),
+    ("purecalls", "no-ipa", 0x82c8569fdcbee408),
+];
+
+#[test]
+fn decision_reports_match_pinned_hashes() {
+    let mut rows: Vec<(String, &'static str, u64)> = Vec::new();
+    for (name, p0, db) in pinned_programs() {
+        for (config, opts) in configurations() {
+            if config != "default" && config != "no-ipa" {
+                continue;
+            }
+            let mut p = p0.clone();
+            let mut tracer = hlo::Tracer::new(hlo::TraceLevel::Decisions);
+            hlo::optimize_traced(&mut p, db.as_ref(), &opts, &mut tracer);
+            let hash = ir::fnv1a_64(tracer.decision_report(None).as_bytes());
+            rows.push((name.clone(), config, hash));
+        }
+    }
+    let table: String = rows
+        .iter()
+        .map(|(n, c, h)| format!("    ({n:?}, {c:?}, {h:#018x}),\n"))
+        .collect();
+    let mismatches: Vec<String> = rows
+        .iter()
+        .zip(DECISIONS)
+        .filter(|((n, c, h), &(gn, gc, gh))| (n.as_str(), *c, *h) != (gn, gc, gh))
+        .map(|((n, c, h), &(_, _, gh))| format!("{n} [{c}]: got {h:#018x}, pinned {gh:#018x}"))
+        .collect();
+    assert!(
+        mismatches.is_empty() && rows.len() == DECISIONS.len(),
+        "{} of {} pinned decision reports differ ({} rows computed):\n{}\n\nfull table:\n{table}",
+        mismatches.len(),
+        DECISIONS.len(),
         rows.len(),
         mismatches.join("\n")
     );
