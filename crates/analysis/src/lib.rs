@@ -13,9 +13,6 @@
 //!   block-frequency estimation when no profile is available ("without such
 //!   data it uses heuristics to guess at the relative importance", §2.3).
 //! * [`estimate_static_profile`] — the loop-depth heuristic itself.
-//! * [`side_effect_free_funcs`] — interprocedural side-effect analysis; the
-//!   paper's HLO deletes calls to provably side-effect-free routines (the
-//!   072.sc curses library example in §3.1).
 //! * [`classify_sites`] — the call-site taxonomy of Figure 5 (external,
 //!   indirect, cross-module, within-module, recursive).
 //! * [`reachable_funcs`] — reachability from the entry and address-taken
@@ -28,7 +25,6 @@ mod dominators;
 mod freq;
 mod loops;
 mod positioning;
-mod purity;
 mod reach;
 
 pub use callgraph::{
@@ -41,5 +37,4 @@ pub use dominators::Dominators;
 pub use freq::estimate_static_profile;
 pub use loops::LoopInfo;
 pub use positioning::procedure_order;
-pub use purity::side_effect_free_funcs;
 pub use reach::reachable_funcs;

@@ -71,8 +71,9 @@ pub struct HloOptions {
     /// sets, summary-based purity, frame-escape and return-constancy
     /// feed the inliner's screening/ranking and a summary-driven scalar
     /// stage (constant-return folding, generalized pure-call removal,
-    /// cross-call store forwarding). On by default; turning it off
-    /// reproduces the syntactic-purity-only pipeline exactly.
+    /// cross-call store forwarding). On by default; turning it off keeps
+    /// only the paper's syntactic pure-call deletion (a projection of the
+    /// same summaries) and reproduces that pipeline exactly.
     pub ipa: bool,
     /// Outlining thresholds (used when `enable_outline` is set).
     pub outline: crate::OutlineOptions,
@@ -693,12 +694,14 @@ impl Build<'_> {
         first_clone
     }
 
-    /// Optimizes every function of `q`; on the whole-program path also
-    /// deletes calls to side-effect-free routines (against the cached call
-    /// graph) and, with [`HloOptions::ipa`] set, runs the summary-driven
-    /// cross-call stage. Accumulates its counters into the report. In
-    /// verify-each mode the checker runs after every scalar sub-pass, so
-    /// findings carry sub-pass origins like `cse` or `simplify_cfg`.
+    /// Optimizes every function of `q`; on the whole-program path it then
+    /// runs the summary stage. One [`hlo_ipa::Summaries`] computation
+    /// feeds the paper's syntactic pure-call deletion (the `pure_calls`
+    /// leaf) and, with [`HloOptions::ipa`] set, the summary-driven
+    /// cross-call transformations (the `ipa` leaf). Accumulates its
+    /// counters into the report. In verify-each mode the checker runs
+    /// after every scalar sub-pass, so findings carry sub-pass origins like
+    /// `cse` or `simplify_cfg`.
     fn optimize_all(
         &mut self,
         q: &mut Program,
@@ -711,11 +714,11 @@ impl Build<'_> {
         if opts.scope != Scope::CrossModule {
             return;
         }
+        // The summaries are the only purity source: the paper's syntactic
+        // side-effect test is their `syntactic_removable` projection.
         let t = Instant::now();
-        let removal = {
-            let cg = cache.graph(q);
-            hlo_opt::eliminate_pure_calls_with(q, cg)
-        };
+        let mut summaries = hlo_ipa::Summaries::compute(q, cache.graph(q));
+        let removal = hlo_opt::eliminate_calls_where(q, &summaries.syntactic_removable());
         for &f in &removal.changed {
             cache.invalidate(f);
         }
@@ -746,18 +749,11 @@ impl Build<'_> {
         // and reproduces the historical pipeline byte for byte.
         if opts.ipa {
             let t = Instant::now();
-            // The syntactic purity set only picks a decision's reason
-            // label, so it is computed only when decisions are recorded —
-            // still before this stage edits the program.
-            let (summaries, syntactic) = {
-                let cg = cache.graph(q);
-                (
-                    hlo_ipa::Summaries::compute(q, cg),
-                    tracer
-                        .decisions_enabled()
-                        .then(|| hlo_analysis::side_effect_free_funcs(q, cg)),
-                )
-            };
+            // The summaries still describe `q` unless the deletion above
+            // (and the cleanup after it) edited it.
+            if removal.removed > 0 {
+                summaries = hlo_ipa::Summaries::compute(q, cache.graph(q));
+            }
             let folds = hlo_opt::fold_const_returns(q, &summaries);
             for fo in &folds {
                 cache.invalidate(fo.caller);
@@ -772,7 +768,7 @@ impl Build<'_> {
             }
             tracer.leaf_seq("ipa", t.elapsed());
             self.ck.check(q, "ipa");
-            if let Some(syntactic) = syntactic {
+            if tracer.decisions_enabled() {
                 for fo in &folds {
                     tracer.decision(pure_call_event(
                         q,
@@ -785,7 +781,7 @@ impl Build<'_> {
                     ));
                 }
                 for s in &ipa_removal.sites {
-                    let reason = if syntactic[s.callee.index()] {
+                    let reason = if summaries.funcs[s.callee.index()].syntactic_removable() {
                         "pure-call-removed"
                     } else {
                         "ipa-pure-callee"

@@ -655,9 +655,8 @@ mod tests {
     #[test]
     fn planted_ipa_fault_is_detected_as_divergence() {
         // Arm the summary fault: every function's effect facts are erased,
-        // so the ipa stage deletes the dead-result call to `noisy` — whose
-        // print is observable — and the extern trace diverges. The quick
-        // matrix keeps `ipa` at its default (on).
+        // so the summary stage deletes the dead-result call to `noisy` —
+        // whose print is observable — and the extern trace diverges.
         let _guard = hlo_ipa::fault::FaultGuard::arm();
         let out = check_sources(
             &sources_of(

@@ -213,6 +213,7 @@ fn scan(name: &str, f: &Function) -> LocalFacts {
         for inst in &block.insts {
             match inst {
                 Inst::Store { base: b, value, .. } => {
+                    base.syntactic_effects = true;
                     match operand_class(*b) {
                         PtrClass::Frame => {}
                         PtrClass::Global(g) => {
@@ -244,7 +245,9 @@ fn scan(name: &str, f: &Function) -> LocalFacts {
                     PtrClass::Param(i) => base.reads_params[i as usize] = true,
                     _ => base.reads_unknown = true,
                 },
+                Inst::Alloca { .. } => base.syntactic_effects = true,
                 Inst::Bin { op, b, .. } if op.can_trap() => {
+                    base.syntactic_effects = true;
                     let safe = matches!(b.as_const(), Some(ConstVal::I64(k)) if k != 0 && k != -1);
                     if !safe {
                         base.may_trap = true;
@@ -378,6 +381,7 @@ fn refresh(facts: &LocalFacts, current: &[FuncSummary]) -> FuncSummary {
         s.calls_indirect |= ct.calls_indirect;
         s.may_trap |= ct.may_trap;
         s.may_not_terminate |= ct.may_not_terminate;
+        s.syntactic_effects |= ct.syntactic_effects;
         s.writes_unknown |= ct.writes_unknown;
         s.reads_unknown |= ct.reads_unknown;
         mods.extend(ct.mod_globals.iter().copied());
@@ -481,6 +485,7 @@ impl Summaries {
                 s.calls_indirect = false;
                 s.may_trap = false;
                 s.may_not_terminate = false;
+                s.syntactic_effects = false;
                 s.leaks_frame = false;
                 s.mod_globals.clear();
                 for w in &mut s.writes_params {
@@ -495,7 +500,6 @@ impl Summaries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hlo_analysis::side_effect_free_funcs;
     use hlo_ir::{FunctionBuilder, Linkage, ProgramBuilder, Type};
 
     fn summaries(p: &Program) -> Summaries {
@@ -526,6 +530,11 @@ mod tests {
         assert_eq!(s.funcs[1].mod_globals, vec![g], "MOD flows bottom-up");
         assert!(!s.funcs[0].removable());
         assert!(!s.funcs[1].removable());
+        assert!(!s.funcs[0].syntactic_removable(), "a store fails the test");
+        assert!(
+            !s.funcs[1].syntactic_removable(),
+            "and so does calling a function that stores"
+        );
     }
 
     /// A function that fills a local scratch slot is removable under ipa
@@ -544,19 +553,17 @@ mod tests {
         f.ret(e, Some(v.into()));
         pb.add_function(f.finish(Linkage::Public, Type::I64));
         let p = pb.finish(None);
-        let cg = CallGraph::build(&p);
-        let s = Summaries::compute(&p, &cg);
+        let s = summaries(&p);
         assert!(s.funcs[0].removable());
-        assert_eq!(
-            side_effect_free_funcs(&p, &cg),
-            vec![false],
+        assert!(
+            !s.funcs[0].syntactic_removable(),
             "syntactic purity rejects any store"
         );
     }
 
-    /// ipa's removable set must contain everything the syntactic test
-    /// admits (on programs that do not return frame addresses, which the
-    /// syntactic test cannot see).
+    /// ipa's removable set must contain everything the syntactic
+    /// projection admits (on programs that do not return frame addresses,
+    /// which the syntactic test cannot see).
     #[test]
     fn removable_is_superset_of_syntactic_purity() {
         let mut pb = ProgramBuilder::new();
@@ -592,15 +599,19 @@ mod tests {
         dv.ret(e, Some(r.into()));
         pb.add_function(dv.finish(Linkage::Public, Type::I64));
         let p = pb.finish(None);
-        let cg = CallGraph::build(&p);
-        let free = side_effect_free_funcs(&p, &cg);
-        let s = Summaries::compute(&p, &cg);
+        let s = summaries(&p);
+        let free = s.syntactic_removable();
         let removable = s.removable();
         for i in 0..p.funcs.len() {
             if free[i] {
                 assert!(removable[i], "func {i}: ipa must admit what purity admits");
             }
         }
+        assert_eq!(
+            free,
+            vec![true, true, false, false],
+            "a pure leaf and its wrapper pass; an extern call and a division fail"
+        );
         assert!(!removable[2], "extern caller stays blocked");
         assert!(!removable[3], "unproven divisor stays blocked");
     }
@@ -618,6 +629,10 @@ mod tests {
         let s = summaries(&p);
         assert!(!s.funcs[0].may_trap, "divisor 2 cannot trap");
         assert!(s.funcs[0].removable());
+        assert!(
+            !s.funcs[0].syntactic_removable(),
+            "the syntactic test rejects every division"
+        );
     }
 
     /// sink(p) stores p to a global (Direct escape); fwd(q) passes q to
@@ -720,6 +735,11 @@ mod tests {
         assert!(s.funcs[1].may_not_terminate);
         assert!(!s.funcs[0].removable());
         assert!(!s.funcs[1].removable());
+        assert!(
+            !s.funcs[0].syntactic_removable(),
+            "recursion fails the test"
+        );
+        assert!(!s.funcs[1].syntactic_removable(), "a loop fails the test");
     }
 
     #[test]
@@ -734,10 +754,13 @@ mod tests {
         pb.add_function(f.finish(Linkage::Public, Type::Void));
         let p = pb.finish(None);
         let cg = CallGraph::build(&p);
-        assert!(!Summaries::compute(&p, &cg).funcs[0].removable());
+        let clean = Summaries::compute(&p, &cg);
+        assert!(!clean.funcs[0].removable());
+        assert!(!clean.funcs[0].syntactic_removable(), "extern call fails");
         let _g = crate::fault::FaultGuard::arm();
+        let faulty = Summaries::compute(&p, &cg);
         assert!(
-            Summaries::compute(&p, &cg).funcs[0].removable(),
+            faulty.funcs[0].removable() && faulty.funcs[0].syntactic_removable(),
             "armed fault must claim purity"
         );
     }

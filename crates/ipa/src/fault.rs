@@ -4,9 +4,12 @@
 //! needs proof that the oracle can *see* a wrong purity summary, not just
 //! that none was produced. When armed, [`crate::Summaries::compute`]
 //! deliberately erases every effect fact (MOD sets, extern/indirect call
-//! bits, trap and termination bits), claiming every function is pure —
-//! which makes summary-driven pure-call deletion and cross-call store
+//! bits, trap, termination and syntactic-effect bits), claiming every
+//! function is pure — which makes pure-call deletion and cross-call store
 //! forwarding misfire observably on any program whose calls have effects.
+//! The paper's syntactic test is a projection of the summaries
+//! ([`crate::FuncSummary::syntactic_removable`]), so the fault reaches
+//! `--no-ipa` builds too: their `pure_calls` stage deletes by it.
 //!
 //! The flag is thread-local so a fuzz campaign arming it cannot perturb
 //! concurrent tests in the same process.

@@ -14,8 +14,11 @@
 //!
 //! * the inliner/cloner (legality: `ipa-escape-blocked`; benefit:
 //!   `ipa-pure-callee`),
-//! * the scalar passes (generalized pure-call elimination, cross-call
-//!   store-to-load forwarding, constant-return folding — `crates/opt`),
+//! * the scalar passes (pure-call elimination, cross-call store-to-load
+//!   forwarding, constant-return folding — `crates/opt`); the paper's
+//!   syntactic side-effect test that `--no-ipa` builds delete by is the
+//!   [`FuncSummary::syntactic_removable`] projection of the same
+//!   summaries, so there is one purity source,
 //! * the lint battery (call-through-escaped-frame, infeasible
 //!   indirect-call target sets — `crates/lint`),
 //! * the `hlo-serve` cache keys (summary fingerprints are mixed into the

@@ -63,6 +63,10 @@ pub struct FuncSummary {
     /// Has a CFG cycle or participates in recursion — deleting a call
     /// could delete a non-terminating computation.
     pub may_not_terminate: bool,
+    /// Contains (itself or through a direct callee) a store, an alloca,
+    /// or a division or remainder whatever its divisor: the instructions
+    /// the paper's syntactic side-effect test rejects on sight.
+    pub syntactic_effects: bool,
     /// May retain the address of its own frame beyond the call (stores a
     /// frame address, returns one, or passes one where it escapes).
     pub leaks_frame: bool,
@@ -87,6 +91,7 @@ impl FuncSummary {
             calls_indirect: false,
             may_trap: false,
             may_not_terminate: false,
+            syntactic_effects: false,
             leaks_frame: false,
             ret: RetInfo::Unknown,
         }
@@ -94,8 +99,8 @@ impl FuncSummary {
 
     /// True when a call to this function whose result is unused can be
     /// deleted: no observable effect can escape the activation. This is a
-    /// strict superset of the syntactic purity test in
-    /// `hlo_analysis::side_effect_free_funcs` — local stores, allocas and
+    /// strict superset of [`FuncSummary::syntactic_removable`] (save for
+    /// functions that leak their frame) — local stores, allocas and
     /// constant-divisor divisions are admitted here.
     pub fn removable(&self) -> bool {
         !self.writes_unknown
@@ -106,6 +111,18 @@ impl FuncSummary {
             && !self.may_trap
             && !self.may_not_terminate
             && !self.leaks_frame
+    }
+
+    /// The paper's syntactic side-effect test (§3.1, the 072.sc curses
+    /// stubs) as a projection of the summary: neither this function nor
+    /// anything it reaches through direct calls stores, allocates,
+    /// divides, calls an extern or an indirect target, loops or recurses.
+    /// `--no-ipa` builds delete calls by this test alone.
+    pub fn syntactic_removable(&self) -> bool {
+        !self.syntactic_effects
+            && !self.calls_extern
+            && !self.calls_indirect
+            && !self.may_not_terminate
     }
 
     /// Serializes this summary as one canonical text section (the unit
@@ -131,6 +148,9 @@ impl FuncSummary {
         }
         if self.may_not_terminate {
             flags.push("may-not-terminate");
+        }
+        if self.syntactic_effects {
+            flags.push("syntactic-effects");
         }
         if self.leaks_frame {
             flags.push("leaks-frame");
@@ -213,6 +233,15 @@ impl Summaries {
         self.funcs.iter().map(FuncSummary::removable).collect()
     }
 
+    /// Per-function [`FuncSummary::syntactic_removable`], indexed like
+    /// `Program::funcs`.
+    pub fn syntactic_removable(&self) -> Vec<bool> {
+        self.funcs
+            .iter()
+            .map(FuncSummary::syntactic_removable)
+            .collect()
+    }
+
     /// Canonical wire form (`ipa-summaries v1`). Line-oriented, stable,
     /// diffable; [`Summaries::from_text`] round-trips it exactly.
     pub fn to_text(&self) -> String {
@@ -278,6 +307,7 @@ impl Summaries {
                         "calls-indirect" => f.calls_indirect = true,
                         "may-trap" => f.may_trap = true,
                         "may-not-terminate" => f.may_not_terminate = true,
+                        "syntactic-effects" => f.syntactic_effects = true,
                         "leaks-frame" => f.leaks_frame = true,
                         other => return Err(format!("unknown flag `{other}`")),
                     }
@@ -417,6 +447,7 @@ mod tests {
         let mut b = FuncSummary::bottom("beta", 0);
         b.leaks_frame = true;
         b.may_not_terminate = true;
+        b.syntactic_effects = true;
         b.ret = RetInfo::Const(42);
         Summaries { funcs: vec![a, b] }
     }
@@ -456,7 +487,7 @@ mod tests {
     #[test]
     fn removable_rejects_each_blocking_fact() {
         let clean = FuncSummary::bottom("f", 1);
-        assert!(clean.removable());
+        assert!(clean.removable() && clean.syntactic_removable());
         let mut m = clean.clone();
         m.mod_globals = vec![GlobalId(0)];
         assert!(!m.removable());
@@ -465,13 +496,16 @@ mod tests {
         assert!(!m.removable());
         let mut m = clean.clone();
         m.calls_extern = true;
-        assert!(!m.removable());
+        assert!(!m.removable() && !m.syntactic_removable());
+        let mut m = clean.clone();
+        m.calls_indirect = true;
+        assert!(!m.removable() && !m.syntactic_removable());
         let mut m = clean.clone();
         m.may_trap = true;
         assert!(!m.removable());
         let mut m = clean.clone();
         m.may_not_terminate = true;
-        assert!(!m.removable());
+        assert!(!m.removable() && !m.syntactic_removable());
         let mut m = clean.clone();
         m.leaks_frame = true;
         assert!(!m.removable());
@@ -481,5 +515,11 @@ mod tests {
         m.reads_unknown = true;
         m.reads_params = vec![true];
         assert!(m.removable());
+        // A store, alloca or division the summary proves harmless still
+        // fails the syntactic test.
+        let mut m = clean.clone();
+        m.syntactic_effects = true;
+        assert!(m.removable());
+        assert!(!m.syntactic_removable());
     }
 }

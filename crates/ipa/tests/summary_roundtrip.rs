@@ -27,7 +27,7 @@ fn ret_strategy() -> impl Strategy<Value = RetInfo> {
 
 fn summary_strategy() -> impl Strategy<Value = FuncSummary> {
     const MAX_PARAMS: usize = 4;
-    let flags = prop::collection::vec(any::<bool>(), 7);
+    let flags = prop::collection::vec(any::<bool>(), 8);
     let globals = (
         prop::collection::vec(0u32..16, 0..4),
         prop::collection::vec(0u32..16, 0..4),
@@ -63,7 +63,8 @@ fn summary_strategy() -> impl Strategy<Value = FuncSummary> {
                 calls_indirect: flags[3],
                 may_trap: flags[4],
                 may_not_terminate: flags[5],
-                leaks_frame: flags[6],
+                syntactic_effects: flags[6],
+                leaks_frame: flags[7],
                 ret,
             }
         },

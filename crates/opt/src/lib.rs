@@ -51,8 +51,5 @@ pub use pipeline::{
     optimize_function, optimize_function_checked, optimize_program, optimize_program_checked,
     OptStats,
 };
-pub use pure_calls::{
-    eliminate_calls_where, eliminate_pure_calls, eliminate_pure_calls_with, PureCallRemoval,
-    PureCallSite,
-};
+pub use pure_calls::{eliminate_calls_where, eliminate_pure_calls, PureCallRemoval, PureCallSite};
 pub use xcall::{fold_const_returns, forward_across_calls, ConstRetFold, CrossCallStats};

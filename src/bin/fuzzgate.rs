@@ -12,9 +12,11 @@
 //!    oracle has gone blind and a green phase 1 means nothing.
 //! 3. **Summary sensitivity** — the same check with the planted
 //!    interprocedural-summary fault armed (`ipa::fault`): every summary
-//!    deliberately claims purity, so the summary-driven pure-call stage
-//!    deletes observable calls. The oracle must catch that too — proof it
-//!    can see a wrong purity summary, not just a wrong splice.
+//!    deliberately claims purity, so the pure-call deletions delete
+//!    observable calls — with ipa on and, since the syntactic test is a
+//!    projection of the summaries, with `--no-ipa` too. The oracle must
+//!    catch that — proof it can see a wrong purity summary, not just a
+//!    wrong splice.
 //! 4. **Incremental sensitivity** — the planted stale-partition-key fault
 //!    armed (`serve::fault`): the daemon's partition keys drop their
 //!    cone-hash component, so an edited function collides with its stale
