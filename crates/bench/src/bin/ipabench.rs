@@ -11,9 +11,15 @@
 //!   screening,
 //! * inline sites unlocked (total inlines with summaries minus without —
 //!   summary-deleted calls free budget, and the purity bonus re-ranks
-//!   sites), and
-//! * the wall-clock cost of the summary stage itself (the `ipa` leaf in
-//!   the stage-timing tree, summed over every optimization pass).
+//!   sites),
+//! * the wall-clock time of the `pure_calls` stage leaf at both settings
+//!   (it computes the summaries both settings share, since the paper's
+//!   syntactic side-effect test is a projection of them), and
+//! * the marginal wall-clock cost of `ipa on` (the `ipa` leaf: the
+//!   summary recomputation after a syntactic deletion, and the
+//!   summary-driven transformations).
+//!
+//! Leaf times are summed over every optimization pass.
 //!
 //! Results go to stdout and `BENCH_ipa.json`. The gate: the suite total
 //! of summary-unlocked transformations must be strictly positive —
@@ -32,6 +38,8 @@ struct Row {
     store_forwards: u64,
     inlines_off: u64,
     inlines_on: u64,
+    pure_calls_off_us: u64,
+    pure_calls_on_us: u64,
     ipa_wall_us: u64,
 }
 
@@ -51,12 +59,12 @@ impl Row {
     }
 }
 
-/// Wall time of the `ipa` stage leaf, summed across passes.
-fn ipa_wall_us(report: &HloReport) -> u64 {
+/// Wall time of one stage leaf, summed across passes.
+fn leaf_wall_us(report: &HloReport, stage: &str) -> u64 {
     report
         .stage_timings
         .iter()
-        .filter(|s| s.stage == "ipa")
+        .filter(|s| s.stage == stage)
         .map(|s| s.wall_us)
         .sum()
 }
@@ -64,10 +72,18 @@ fn ipa_wall_us(report: &HloReport) -> u64 {
 fn main() -> ExitCode {
     println!("ipabench: suite at ipa off vs ipa on (gate: unlocked transformations > 0)");
     println!(
-        "{:<14} {:>6} {:>7} {:>9} {:>9} {:>9} {:>9}",
-        "program", "pure", "consts", "forwards", "inl off", "inl on", "ipa(us)"
+        "{:<14} {:>6} {:>7} {:>9} {:>9} {:>9} {:>10} {:>10} {:>9}",
+        "program",
+        "pure",
+        "consts",
+        "forwards",
+        "inl off",
+        "inl on",
+        "pc off(us)",
+        "pc on(us)",
+        "ipa(us)"
     );
-    hlo_bench::rule(69);
+    hlo_bench::rule(91);
 
     let opts = |ipa| HloOptions {
         ipa,
@@ -90,30 +106,37 @@ fn main() -> ExitCode {
             store_forwards: on.report.ipa_store_forwards,
             inlines_off: off.report.inlines,
             inlines_on: on.report.inlines,
-            ipa_wall_us: ipa_wall_us(&on.report),
+            pure_calls_off_us: leaf_wall_us(&off.report, "pure_calls"),
+            pure_calls_on_us: leaf_wall_us(&on.report, "pure_calls"),
+            ipa_wall_us: leaf_wall_us(&on.report, "ipa"),
         };
         println!(
-            "{:<14} {:>6} {:>7} {:>9} {:>9} {:>9} {:>9}",
+            "{:<14} {:>6} {:>7} {:>9} {:>9} {:>9} {:>10} {:>10} {:>9}",
             row.name,
             row.pure_calls,
             row.const_folds,
             row.store_forwards,
             row.inlines_off,
             row.inlines_on,
+            row.pure_calls_off_us,
+            row.pure_calls_on_us,
             row.ipa_wall_us
         );
         rows.push(row);
     }
-    hlo_bench::rule(69);
+    hlo_bench::rule(91);
 
     let unlocked: u64 = rows.iter().map(Row::unlocked).sum();
     let pure: u64 = rows.iter().map(|r| r.pure_calls).sum();
     let consts: u64 = rows.iter().map(|r| r.const_folds).sum();
     let forwards: u64 = rows.iter().map(|r| r.store_forwards).sum();
     let wall: u64 = rows.iter().map(|r| r.ipa_wall_us).sum();
+    let pc_off: u64 = rows.iter().map(|r| r.pure_calls_off_us).sum();
+    let pc_on: u64 = rows.iter().map(|r| r.pure_calls_on_us).sum();
     println!(
         "total: {unlocked} unlocked ({pure} pure calls, {consts} const folds, \
-         {forwards} forwards), {wall} us in the summary stage"
+         {forwards} forwards); pure_calls leaf {pc_off} us at ipa off, {pc_on} us at \
+         ipa on; {wall} us marginal cost of ipa on"
     );
 
     let json = render_json(unlocked, wall, &rows);
@@ -145,7 +168,8 @@ fn render_json(unlocked: u64, wall_us: u64, rows: &[Row]) -> String {
             s,
             "    {{\"name\": \"{}\", \"ipa_pure_calls\": {}, \"ipa_const_folds\": {}, \
              \"ipa_store_forwards\": {}, \"inlines_ipa_off\": {}, \"inlines_ipa_on\": {}, \
-             \"inline_delta\": {}, \"ipa_wall_us\": {}}}{}",
+             \"inline_delta\": {}, \"pure_calls_wall_us_ipa_off\": {}, \
+             \"pure_calls_wall_us_ipa_on\": {}, \"ipa_wall_us\": {}}}{}",
             r.name,
             r.pure_calls,
             r.const_folds,
@@ -153,6 +177,8 @@ fn render_json(unlocked: u64, wall_us: u64, rows: &[Row]) -> String {
             r.inlines_off,
             r.inlines_on,
             r.inline_delta(),
+            r.pure_calls_off_us,
+            r.pure_calls_on_us,
             r.ipa_wall_us,
             if i + 1 < rows.len() { "," } else { "" }
         );
