@@ -14,12 +14,15 @@
 //! The whole store serializes to a canonical `pgo-store v1` text form
 //! (sorted by key, embedding [`ProfileDb::to_text`] per program) used
 //! both for byte-identity tests and for crash-safe persistence:
-//! [`ProfileStore::save`] writes a temp file and renames it over the
-//! target, so a crash mid-write leaves the previous snapshot intact.
+//! [`ProfileStore::save`] writes and syncs a temp file, renames it over
+//! the target and syncs the directory, so a crash mid-write leaves the
+//! previous snapshot intact and a crash after the rename leaves the new
+//! one.
 
 use crate::is_valid_key;
 use hlo_profile::{FuncCounts, ProfileDb};
 use std::collections::{HashMap, VecDeque};
+use std::io::Write as _;
 use std::path::Path;
 
 /// Default bound on resident program aggregates.
@@ -352,14 +355,24 @@ impl ProfileStore {
 
     /// Crash-safe persistence: writes the canonical text to `path` via a
     /// sibling temp file + rename, so readers only ever see a complete
-    /// snapshot.
+    /// snapshot. The temp file is synced before the rename and the
+    /// directory after it, so a crash cannot leave an empty or partial
+    /// store behind the new name.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_text())?;
-        std::fs::rename(&tmp, path)
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(self.to_text().as_bytes())?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()
     }
 
     /// Loads a snapshot written by [`ProfileStore::save`]. A missing
