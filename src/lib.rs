@@ -6,10 +6,10 @@
 //! crate:
 //!
 //! * [`ir`] — the ucode-analogue intermediate representation.
-//! * [`analysis`] — call graph, loops, purity, call-site classification.
+//! * [`analysis`] — call graph, loops, call-site classification.
 //! * [`ipa`] — bottom-up interprocedural summaries (MOD/REF, purity,
 //!   frame escape, return constancy) feeding inlining, scalar opt, lint,
-//!   and the daemon's cache keys.
+//!   and the daemon's cache keys; the one purity source.
 //! * [`frontc`] — the MinC front end producing IR modules.
 //! * [`opt`] — the scalar optimizer HLO interleaves with its passes.
 //! * [`profile`] — profile database + collection (PBO substrate).
