@@ -138,7 +138,13 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    fn from_text(text: &str) -> Result<ServeStats, String> {
+    /// Parses a `stats` reply body ([`crate::server::stats_text`]);
+    /// unknown lines are ignored so old clients keep working against
+    /// newer daemons.
+    ///
+    /// # Errors
+    /// Describes the first malformed line.
+    pub fn from_text(text: &str) -> Result<ServeStats, String> {
         fn num(parts: &mut std::str::SplitWhitespace, line: &str) -> Result<u64, String> {
             parts
                 .next()

@@ -38,7 +38,7 @@ pub mod incremental;
 pub mod server;
 pub mod wire;
 
-pub use cache::{CacheOutcome, CacheStats, CachedResult, RequestKey, ResultCache};
+pub use cache::{CacheOutcome, CachedResult, RequestKey, ResultCache};
 pub use client::{mint_trace_id, Client, ServeError, ServeStats};
 pub use server::{ServeConfig, Server};
 

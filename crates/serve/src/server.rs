@@ -25,13 +25,14 @@ use crate::{
 };
 use hlo::par::effective_jobs;
 use hlo::{
-    chrome_trace_json, CallGraphCache, Event, EventLevel, EventLog, FlightRecord, FlightRecorder,
-    HloOptions, MetricsRegistry, PartitionAction, QuantileSketch, TraceLevel, Tracer,
+    chrome_trace_json, parse_exposition, CallGraphCache, Event, EventLevel, EventLog, FlightRecord,
+    FlightRecorder, HloOptions, MetricsRegistry, PartitionAction, TraceLevel, Tracer,
     DRIFT_BUCKETS_MILLIS, LATENCY_BUCKETS_US,
 };
 use hlo_ir::Program;
 use hlo_pgo::ProfileStore;
 use hlo_profile::ProfileDb;
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -123,19 +124,12 @@ fn phase_metric(phase: &str) -> String {
     format!("request_{phase}_us")
 }
 
-/// Records one measured phase duration into both the fixed-bucket
-/// histogram (`metrics` exposition) and the streaming quantile sketch
-/// (`stats` p50/p95/p99).
+/// Records one measured phase duration. The histogram's buckets feed the
+/// `metrics` exposition and its sketch the p50/p95/p99 gauges.
 fn observe_phase(shared: &Shared, phase: &str, us: u64) {
     shared
         .metrics
         .observe(&phase_metric(phase), LATENCY_BUCKETS_US, us);
-    if let Some(i) = REQUEST_PHASES.iter().position(|p| *p == phase) {
-        shared.sketches[i]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(us);
-    }
 }
 
 /// Microseconds since daemon start — the `ts` field on emitted events
@@ -205,37 +199,6 @@ fn job_failed(
     error_frame(msg)
 }
 
-/// Counters behind the `stats` request (cache counters live in
-/// [`ResultCache`]).
-#[derive(Debug, Default)]
-struct Counters {
-    requests: u64,
-    busy: u64,
-    errors: u64,
-    deadline_missed: u64,
-    /// Accepted `profile-push` requests.
-    pgo_pushes: u64,
-    /// Cached results re-optimized because their build profile drifted
-    /// past threshold (one per stale hit).
-    reoptimizations: u64,
-    /// Aggregated per-stage `(name, wall_us, work_us)` over every
-    /// non-cached optimize this daemon ran.
-    stages: Vec<(String, u64, u64)>,
-}
-
-impl Counters {
-    fn add_stages(&mut self, report: &hlo::HloReport) {
-        for t in &report.stage_timings {
-            if let Some(e) = self.stages.iter_mut().find(|(n, _, _)| *n == t.stage) {
-                e.1 += t.wall_us;
-                e.2 += t.work_us;
-            } else {
-                self.stages.push((t.stage.clone(), t.wall_us, t.work_us));
-            }
-        }
-    }
-}
-
 struct Shared {
     cfg: ServeConfig,
     queue: Mutex<std::collections::VecDeque<Job>>,
@@ -249,9 +212,8 @@ struct Shared {
     /// `profile-push` on connection threads and read at dequeue time by
     /// `profile: server` requests.
     pgo: Mutex<ProfileStore>,
-    counters: Mutex<Counters>,
-    /// Request counters and phase-latency histograms, exposed by the
-    /// `metrics` request in Prometheus text form.
+    /// The daemon's only counter and latency store: `metrics` exposes it
+    /// and `stats` renders that exposition ([`stats_text`]).
     metrics: MetricsRegistry,
     /// The structured event log (file and/or stderr sinks per config).
     events: EventLog,
@@ -261,11 +223,6 @@ struct Shared {
     /// by `trace-fetch`. Rendered text is stored (not the tracer itself)
     /// so a fetch is a pure copy.
     traces: Mutex<std::collections::VecDeque<TraceFetchReply>>,
-    /// Streaming phase-latency quantile sketches, parallel to
-    /// [`REQUEST_PHASES`].
-    sketches: Vec<Mutex<QuantileSketch>>,
-    /// Requests past the `slow_ms` threshold.
-    slow: AtomicU64,
     started: Instant,
     addr: SocketAddr,
 }
@@ -303,16 +260,10 @@ impl Server {
             in_flight: AtomicU64::new(0),
             cache: Mutex::new(ResultCache::new(cfg.cache_cap)),
             pgo: Mutex::new(pgo),
-            counters: Mutex::new(Counters::default()),
             metrics: MetricsRegistry::new(),
             events,
             flight: FlightRecorder::new(cfg.flight_cap),
             traces: Mutex::new(std::collections::VecDeque::new()),
-            sketches: REQUEST_PHASES
-                .iter()
-                .map(|_| Mutex::new(QuantileSketch::new()))
-                .collect(),
-            slow: AtomicU64::new(0),
             started: Instant::now(),
             addr: local,
             cfg,
@@ -461,7 +412,7 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
     let sections = match Sections::decode(&frame.payload) {
         Ok(s) => s,
         Err(e) => {
-            shared.counters.lock().unwrap().errors += 1;
+            shared.metrics.inc("errors_total");
             return Submitted::Reply(job_failed(
                 shared,
                 "",
@@ -475,7 +426,7 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
     let req = match OptimizeRequest::from_sections(&sections) {
         Ok(r) => r,
         Err(e) => {
-            shared.counters.lock().unwrap().errors += 1;
+            shared.metrics.inc("errors_total");
             return Submitted::Reply(job_failed(
                 shared,
                 "",
@@ -520,7 +471,7 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
             return Submitted::Reply(error_frame("daemon is draining"));
         }
         if q.len() >= shared.cfg.queue_cap {
-            shared.counters.lock().unwrap().busy += 1;
+            shared.metrics.inc("busy_total");
             drop(q);
             refuse("busy");
             return Submitted::Reply(Frame::bare(Kind::Busy));
@@ -532,7 +483,6 @@ fn submit(shared: &Arc<Shared>, frame: &Frame) -> Submitted {
             req_bytes,
             reply: tx,
         });
-        shared.counters.lock().unwrap().requests += 1;
         shared.metrics.inc("requests_total");
     }
     shared.work_ready.notify_one();
@@ -579,7 +529,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     );
     if let Some(d) = job.deadline {
         if Instant::now() > d {
-            shared.counters.lock().unwrap().deadline_missed += 1;
+            shared.metrics.inc("deadline_missed_total");
             return job_failed(
                 shared,
                 &trace_id,
@@ -608,7 +558,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
         tracer.leaf_seq("queue_wait", Duration::from_micros(queue_us));
     }
     let fail = |reason: &str, msg: &str| -> Frame {
-        shared.counters.lock().unwrap().errors += 1;
+        shared.metrics.inc("errors_total");
         job_failed(shared, &trace_id, reason, msg, queue_us, job.req_bytes)
     };
     let mut program = match &req.source {
@@ -693,11 +643,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
             );
             pgo_line = Some(report.summary(threshold));
             if report.exceeds(threshold) {
-                let mut cache = shared.cache.lock().unwrap();
-                cache.mark_stale();
-                drop(cache);
-                shared.counters.lock().unwrap().reoptimizations += 1;
-                shared.metrics.inc("pgo_reoptimize_total");
                 shared.events.emit(
                     &Event::new(EventLevel::Warn, "pgo.reoptimize")
                         .field("ts", event_ts(shared))
@@ -720,11 +665,23 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     if traced {
         tracer.leaf_seq("cache_probe", Duration::from_micros(probe_us));
     }
-    shared.metrics.inc(if outcome.hit {
-        "cache_hits_total"
+    // Each lookup is counted once, as what the probe decided: a stale hit
+    // is neither a hit nor a miss, and its one count backs both the
+    // `stale_hits` and the `reoptimizations` line of `stats`.
+    let (outcome_str, lookup_counter) = if outcome.stale {
+        ("stale", "pgo_reoptimize_total")
+    } else if outcome.hit {
+        ("hit", "cache_hits_total")
     } else {
-        "cache_misses_total"
-    });
+        ("miss", "cache_misses_total")
+    };
+    shared.metrics.inc(lookup_counter);
+    shared
+        .metrics
+        .add("cache_func_hits_total", outcome.func_hits);
+    shared
+        .metrics
+        .add("cache_func_misses_total", outcome.func_misses);
 
     let (ir_text, report_text) = match cached {
         Some(c) => (c.ir_text, c.report_text),
@@ -747,7 +704,17 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
             phases.push(("optimize".to_string(), opt_us));
             let ir_text = hlo_ir::program_to_text(&program);
             let report_text = report.to_text();
-            shared.counters.lock().unwrap().add_stages(&report);
+            for t in &report.stage_timings {
+                let stage = &t.stage;
+                shared.metrics.add(
+                    &format!("stage_wall_us_total{{stage=\"{stage}\"}}"),
+                    t.wall_us,
+                );
+                shared.metrics.add(
+                    &format!("stage_work_us_total{{stage=\"{stage}\"}}"),
+                    t.work_us,
+                );
+            }
             let evicted = shared.cache.lock().unwrap().insert(
                 &key,
                 CachedResult {
@@ -756,6 +723,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
                     profile_text,
                 },
             );
+            shared.metrics.add("cache_evictions", evicted);
             if evicted > 0 {
                 shared.events.emit(
                     &Event::new(EventLevel::Info, "cache.evict")
@@ -768,13 +736,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     };
     // Tag leaves: zero-duration stage spans naming the cache outcome and
     // partition reuse counts, so a span tree is self-describing.
-    let outcome_str = if outcome.stale {
-        "stale"
-    } else if outcome.hit {
-        "hit"
-    } else {
-        "miss"
-    };
     if traced {
         tracer.leaf_seq(&format!("outcome.{outcome_str}"), Duration::ZERO);
         tracer.leaf_seq(
@@ -869,7 +830,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     }
     if let Some(slow_ms) = shared.cfg.slow_ms {
         if wall_us > slow_ms.saturating_mul(1000) {
-            shared.slow.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.inc("slow_requests_total");
             shared.events.emit(
                 &Event::new(EventLevel::Warn, "request.slow")
                     .field("ts", event_ts(shared))
@@ -905,7 +866,6 @@ fn optimize_miss(
     trace_id: &str,
 ) -> hlo::HloReport {
     let note_fallback = |shared: &Arc<Shared>, reason: &str| {
-        shared.cache.lock().unwrap().note_incr_fallback();
         shared.metrics.inc("incr_fallback_total");
         shared.events.emit(
             &Event::new(EventLevel::Warn, "incr.fallback")
@@ -942,18 +902,14 @@ fn optimize_miss(
             if hits == 0 || hlo_ir::verify_program(program).is_ok() {
                 outcome.partition_hits = hits;
                 outcome.partition_rebuilds = rebuilds;
-                {
+                // A build that renamed globals mutated state outside its
+                // partitions' bodies — its outputs are not pure functions
+                // of their partitions, so they must not seed future
+                // splices.
+                if !out.log.globals_mutated {
                     let mut cache = shared.cache.lock().unwrap();
-                    cache.note_incremental(hits, rebuilds);
-                    // A build that renamed globals mutated state
-                    // outside its partitions' bodies — its outputs
-                    // are not pure functions of their partitions, so
-                    // they must not seed future splices.
-                    if !out.log.globals_mutated {
-                        for (pi, &k) in pkeys.iter().enumerate() {
-                            cache
-                                .insert_partition(k, hlo::extract_partition(program, &out.log, pi));
-                        }
+                    for (pi, &k) in pkeys.iter().enumerate() {
+                        cache.insert_partition(k, hlo::extract_partition(program, &out.log, pi));
                     }
                 }
                 shared.metrics.add("incr_partition_hits_total", hits);
@@ -1036,7 +992,7 @@ fn persist_store(shared: &Arc<Shared>, store: &ProfileStore) {
 /// aggregate, persist. Every refusal leaves the store untouched.
 fn profile_push_frame(shared: &Arc<Shared>, frame: &Frame) -> Frame {
     let fail = |msg: String| {
-        shared.counters.lock().unwrap().errors += 1;
+        shared.metrics.inc("errors_total");
         error_frame(&msg)
     };
     let sections = match Sections::decode(&frame.payload) {
@@ -1069,7 +1025,6 @@ fn profile_push_frame(shared: &Arc<Shared>, frame: &Frame) -> Frame {
     };
     persist_store(shared, &store);
     drop(store);
-    shared.counters.lock().unwrap().pgo_pushes += 1;
     shared.metrics.inc("pgo_push_total");
     let out = ProfilePushOutcome {
         generation: outcome.generation,
@@ -1172,103 +1127,134 @@ fn flight_dump_frame(shared: &Arc<Shared>) -> Frame {
     Frame::new(Kind::FlightReply, &s)
 }
 
-fn stats_frame(shared: &Arc<Shared>) -> Frame {
-    use std::fmt::Write as _;
-    let cache = shared.cache.lock().unwrap().stats();
-    let c = shared.counters.lock().unwrap();
-    let mut text = String::new();
-    let _ = writeln!(text, "uptime_ms {}", shared.started.elapsed().as_millis());
-    let _ = writeln!(text, "requests {}", c.requests);
-    let _ = writeln!(text, "busy {}", c.busy);
-    let _ = writeln!(text, "errors {}", c.errors);
-    let _ = writeln!(text, "deadline_missed {}", c.deadline_missed);
-    let _ = writeln!(text, "hits {}", cache.hits);
-    let _ = writeln!(text, "misses {}", cache.misses);
-    let _ = writeln!(text, "stale_hits {}", cache.stale_hits);
-    let _ = writeln!(text, "evictions {}", cache.evictions);
-    let _ = writeln!(text, "func_hits {}", cache.func_hits);
-    let _ = writeln!(text, "func_misses {}", cache.func_misses);
-    let _ = writeln!(text, "entries {}", cache.entries);
-    let _ = writeln!(text, "cache_bytes {}", cache.resident_bytes);
-    let _ = writeln!(text, "partition_hits {}", cache.partition_hits);
-    let _ = writeln!(text, "partition_rebuilds {}", cache.partition_rebuilds);
-    let _ = writeln!(text, "incr_fallbacks {}", cache.incr_fallbacks);
-    let _ = writeln!(text, "partition_entries {}", cache.partition_entries);
-    let _ = writeln!(text, "pgo_pushes {}", c.pgo_pushes);
-    let _ = writeln!(text, "reoptimizations {}", c.reoptimizations);
-    let _ = writeln!(
-        text,
-        "slow_requests {}",
-        shared.slow.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(text, "flight_records {}", shared.flight.len());
-    let _ = writeln!(
-        text,
-        "traces_stored {}",
-        shared.traces.lock().unwrap().len()
-    );
-    let _ = writeln!(text, "events_emitted {}", shared.events.emitted());
-    let pgo = shared.pgo.lock().unwrap().stats();
-    let _ = writeln!(text, "pgo_programs {}", pgo.programs);
-    let _ = writeln!(text, "pgo_bytes {}", pgo.resident_bytes);
-    for (name, wall, work) in &c.stages {
-        let _ = writeln!(text, "stage {name} {wall} {work}");
+/// Publishes as gauges the numbers other structures own — cache,
+/// partition-store and profile-store occupancy, the flight recorder and
+/// trace ring lengths, the event count, and each request phase's
+/// p50/p95/p99 from its histogram's sketch — then returns the metrics
+/// exposition. `stats` and `metrics` both answer from it.
+fn exposition(shared: &Shared) -> String {
+    let metrics = &shared.metrics;
+    let gauge = |name: &str, value: u64| metrics.set_gauge(name, value as i64);
+    {
+        let cache = shared.cache.lock().unwrap();
+        gauge("cache_entries", cache.entries());
+        gauge("cache_resident_bytes", cache.resident_bytes());
+        gauge("partition_entries", cache.partition_entries());
     }
-    drop(c);
+    let pgo = shared.pgo.lock().unwrap().stats();
+    gauge("pgo_programs", pgo.programs);
+    gauge("pgo_resident_bytes", pgo.resident_bytes);
+    gauge("flight_records", shared.flight.len() as u64);
+    gauge("traces_stored", shared.traces.lock().unwrap().len() as u64);
+    gauge("events_emitted", shared.events.emitted());
     for phase in REQUEST_PHASES {
-        let (count, sum) = shared.metrics.histogram(&phase_metric(phase));
-        let _ = writeln!(text, "latency {phase} {count} {sum}");
-    }
-    for (i, phase) in REQUEST_PHASES.iter().enumerate() {
-        let sketch = shared.sketches[i].lock().unwrap();
-        let _ = writeln!(
-            text,
-            "quantile {phase} {} {} {}",
-            sketch.quantile(500),
-            sketch.quantile(950),
-            sketch.quantile(990)
-        );
-    }
-    let mut s = Sections::new();
-    s.push("stats", text);
-    Frame::new(Kind::StatsReply, &s)
-}
-
-/// Answers a `metrics` request with the full Prometheus-style text
-/// exposition. Cache occupancy is read at reply time and published as
-/// gauges so scrapes see current state, not last-insert state.
-fn metrics_frame(shared: &Arc<Shared>) -> Frame {
-    let cache = shared.cache.lock().unwrap().stats();
-    shared
-        .metrics
-        .set_gauge("cache_entries", cache.entries as i64);
-    shared
-        .metrics
-        .set_gauge("cache_resident_bytes", cache.resident_bytes as i64);
-    shared
-        .metrics
-        .set_gauge("cache_evictions", cache.evictions as i64);
-    shared
-        .metrics
-        .set_gauge("partition_entries", cache.partition_entries as i64);
-    let pgo = shared.pgo.lock().unwrap().stats();
-    shared
-        .metrics
-        .set_gauge("pgo_programs", pgo.programs as i64);
-    shared
-        .metrics
-        .set_gauge("pgo_resident_bytes", pgo.resident_bytes as i64);
-    for (i, phase) in REQUEST_PHASES.iter().enumerate() {
-        let sketch = shared.sketches[i].lock().unwrap();
         for (suffix, permille) in [("p50", 500), ("p95", 950), ("p99", 990)] {
-            shared.metrics.set_gauge(
+            gauge(
                 &format!("request_{phase}_{suffix}_us"),
-                sketch.quantile(permille) as i64,
+                metrics.quantile(&phase_metric(phase), permille),
             );
         }
     }
+    metrics.expose()
+}
+
+/// The `stats` reply as a rendering of the metrics exposition: one
+/// `(stats line, series)` pair per printed value, in reply order.
+/// Consecutive pairs that share a line name print on one line, their
+/// values in table order; a `<stage>` series prints one line per stage
+/// label in the exposition, sorted by stage name, and a `<phase>` series
+/// one line per [`REQUEST_PHASES`] entry. An absent series reads 0.
+/// DESIGN.md §16 documents every pair.
+pub const STATS_SERIES: &[(&str, &str)] = &[
+    ("requests", "requests_total"),
+    ("busy", "busy_total"),
+    ("errors", "errors_total"),
+    ("deadline_missed", "deadline_missed_total"),
+    ("hits", "cache_hits_total"),
+    ("misses", "cache_misses_total"),
+    ("stale_hits", "pgo_reoptimize_total"),
+    ("evictions", "cache_evictions"),
+    ("func_hits", "cache_func_hits_total"),
+    ("func_misses", "cache_func_misses_total"),
+    ("entries", "cache_entries"),
+    ("cache_bytes", "cache_resident_bytes"),
+    ("partition_hits", "incr_partition_hits_total"),
+    ("partition_rebuilds", "incr_partition_rebuilds_total"),
+    ("incr_fallbacks", "incr_fallback_total"),
+    ("partition_entries", "partition_entries"),
+    ("pgo_pushes", "pgo_push_total"),
+    ("reoptimizations", "pgo_reoptimize_total"),
+    ("slow_requests", "slow_requests_total"),
+    ("flight_records", "flight_records"),
+    ("traces_stored", "traces_stored"),
+    ("events_emitted", "events_emitted"),
+    ("pgo_programs", "pgo_programs"),
+    ("pgo_bytes", "pgo_resident_bytes"),
+    ("stage", "stage_wall_us_total{stage=\"<stage>\"}"),
+    ("stage", "stage_work_us_total{stage=\"<stage>\"}"),
+    ("latency", "request_<phase>_us_count"),
+    ("latency", "request_<phase>_us_sum"),
+    ("quantile", "request_<phase>_p50_us"),
+    ("quantile", "request_<phase>_p95_us"),
+    ("quantile", "request_<phase>_p99_us"),
+];
+
+/// Renders the `stats` text from a metrics exposition through
+/// [`STATS_SERIES`], after an `uptime_ms` line. A pure function, so
+/// `stats` cannot disagree with a `metrics` scrape of the same moment.
+///
+/// # Errors
+/// The exposition does not parse ([`parse_exposition`]).
+pub fn stats_text(exposition: &str, uptime_ms: u64) -> Result<String, String> {
+    use std::fmt::Write as _;
+    let series: HashMap<String, i128> = parse_exposition(exposition)?.into_iter().collect();
+    let mut text = format!("uptime_ms {uptime_ms}\n");
+    for pairs in STATS_SERIES.chunk_by(|a, b| a.0 == b.0) {
+        let (line, first) = pairs[0];
+        let keys: Vec<&str> = if first.contains("<phase>") {
+            REQUEST_PHASES.to_vec()
+        } else if let Some((before, after)) = first.split_once("<stage>") {
+            let mut stages: Vec<&str> = series
+                .keys()
+                .filter_map(|name| name.strip_prefix(before)?.strip_suffix(after))
+                .collect();
+            stages.sort_unstable();
+            stages
+        } else {
+            vec![""]
+        };
+        for key in keys {
+            text.push_str(line);
+            if !key.is_empty() {
+                let _ = write!(text, " {key}");
+            }
+            for (_, template) in pairs {
+                let name = template.replace("<phase>", key).replace("<stage>", key);
+                let _ = write!(text, " {}", series.get(&name).copied().unwrap_or(0));
+            }
+            text.push('\n');
+        }
+    }
+    Ok(text)
+}
+
+fn stats_frame(shared: &Arc<Shared>) -> Frame {
+    let uptime_ms = shared.started.elapsed().as_millis() as u64;
+    match stats_text(&exposition(shared), uptime_ms) {
+        Ok(text) => {
+            let mut s = Sections::new();
+            s.push("stats", text);
+            Frame::new(Kind::StatsReply, &s)
+        }
+        Err(e) => error_frame(&format!("stats: {e}")),
+    }
+}
+
+/// Answers a `metrics` request with the full Prometheus-style text
+/// exposition.
+fn metrics_frame(shared: &Arc<Shared>) -> Frame {
     let mut s = Sections::new();
-    s.push("metrics", shared.metrics.expose());
+    s.push("metrics", exposition(shared));
     Frame::new(Kind::MetricsReply, &s)
 }
 
@@ -1283,4 +1269,90 @@ pub fn banner(addr: SocketAddr, cfg: &ServeConfig) {
         cfg.queue_cap,
         cfg.cache_cap
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeStats;
+
+    #[test]
+    fn stats_text_renders_the_exposition_through_the_table() {
+        // An empty exposition: every scalar line in reply order reading 0,
+        // no stage line, and one latency and one quantile line per phase.
+        let empty = stats_text("", 7).unwrap();
+        let names: Vec<&str> = empty
+            .lines()
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "uptime_ms",
+                "requests",
+                "busy",
+                "errors",
+                "deadline_missed",
+                "hits",
+                "misses",
+                "stale_hits",
+                "evictions",
+                "func_hits",
+                "func_misses",
+                "entries",
+                "cache_bytes",
+                "partition_hits",
+                "partition_rebuilds",
+                "incr_fallbacks",
+                "partition_entries",
+                "pgo_pushes",
+                "reoptimizations",
+                "slow_requests",
+                "flight_records",
+                "traces_stored",
+                "events_emitted",
+                "pgo_programs",
+                "pgo_bytes",
+                "latency",
+                "latency",
+                "latency",
+                "latency",
+                "quantile",
+                "quantile",
+                "quantile",
+                "quantile",
+            ]
+        );
+        assert!(empty.starts_with("uptime_ms 7\nrequests 0\n"), "{empty}");
+        assert!(empty.lines().skip(1).all(|l| l.ends_with(" 0")), "{empty}");
+        assert!(empty.contains("latency queue_wait 0 0\nlatency cache_probe 0 0\n"));
+        assert!(empty.contains("quantile reply 0 0 0\n"));
+
+        // Labeled stage series come out sorted by stage name, an absent
+        // work counter reads 0, and one reoptimization count backs two
+        // lines.
+        let m = MetricsRegistry::new();
+        m.add("stage_wall_us_total{stage=\"inline.plan\"}", 30);
+        m.add("stage_work_us_total{stage=\"inline.plan\"}", 40);
+        m.add("stage_wall_us_total{stage=\"annotate\"}", 5);
+        m.inc("pgo_reoptimize_total");
+        m.observe("request_optimize_us", LATENCY_BUCKETS_US, 900);
+        m.set_gauge("request_optimize_p99_us", 1000);
+        let text = stats_text(&m.expose(), 0).unwrap();
+        assert!(text.contains("stale_hits 1\n"), "{text}");
+        assert!(text.contains("reoptimizations 1\n"), "{text}");
+        assert!(text.contains("latency optimize 1 900\n"), "{text}");
+        assert!(text.contains("quantile optimize 0 0 1000\n"), "{text}");
+        let st = ServeStats::from_text(&text).unwrap();
+        assert_eq!(
+            st.stages,
+            vec![
+                ("annotate".to_string(), 5, 0),
+                ("inline.plan".to_string(), 30, 40)
+            ]
+        );
+        assert_eq!((st.hits, st.misses), (0, 0));
+
+        assert!(stats_text("not an exposition\n", 0).is_err());
+    }
 }

@@ -7,9 +7,11 @@
 //!
 //! The default gate also checks that every decision reason code the
 //! pipeline can emit (`hlo::all_reason_codes()`) is documented in the
-//! DESIGN.md §11 table, so a new reason cannot ship undocumented.
+//! DESIGN.md §11 table, and that every `(stats line, series)` pair the
+//! daemon's `stats` reply renders (`serve::server::STATS_SERIES`) has a
+//! row in the §16 Accounting table, so neither can ship undocumented.
 
-use aggressive_inlining::hlo;
+use aggressive_inlining::{hlo, serve};
 use std::process::{Command, ExitCode};
 
 fn run(args: &[&str]) -> bool {
@@ -39,7 +41,24 @@ fn undocumented_reason_codes(design: &str) -> Vec<&'static str> {
         .collect()
 }
 
-fn check_reason_codes() -> bool {
+/// Every `(stats line, series)` pair of the `stats` reply must share one
+/// table row of `design`, both backtick-quoted; returns the pairs that do
+/// not.
+fn undocumented_stats_series(design: &str) -> Vec<(&'static str, &'static str)> {
+    serve::server::STATS_SERIES
+        .iter()
+        .copied()
+        .filter(|(line, series)| {
+            !design.lines().any(|row| {
+                row.starts_with('|')
+                    && row.contains(&format!("`{line}`"))
+                    && row.contains(&format!("`{series}`"))
+            })
+        })
+        .collect()
+}
+
+fn check_design_tables() -> bool {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md");
     let design = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -48,17 +67,25 @@ fn check_reason_codes() -> bool {
             return false;
         }
     };
-    let missing = undocumented_reason_codes(&design);
-    if missing.is_empty() {
+    let codes = undocumented_reason_codes(&design);
+    if codes.is_empty() {
         eprintln!(
             "tier2: all {} reason codes documented in DESIGN.md",
             hlo::all_reason_codes().len()
         );
-        true
     } else {
-        eprintln!("tier2: reason codes missing from the DESIGN.md table: {missing:?}");
-        false
+        eprintln!("tier2: reason codes missing from the DESIGN.md table: {codes:?}");
     }
+    let series = undocumented_stats_series(&design);
+    if series.is_empty() {
+        eprintln!(
+            "tier2: all {} stats series documented in DESIGN.md",
+            serve::server::STATS_SERIES.len()
+        );
+    } else {
+        eprintln!("tier2: stats series missing from the DESIGN.md Accounting table: {series:?}");
+    }
+    codes.is_empty() && series.is_empty()
 }
 
 fn main() -> ExitCode {
@@ -88,8 +115,8 @@ fn main() -> ExitCode {
     }
     let clippy = run(&["clippy", "--all-targets", "--", "-D", "warnings"]);
     let fmt = run(&["fmt", "--all", "--check"]);
-    let reasons = check_reason_codes();
-    if clippy && fmt && reasons {
+    let tables = check_design_tables();
+    if clippy && fmt && tables {
         eprintln!("tier2: clean");
         ExitCode::SUCCESS
     } else {
@@ -97,7 +124,7 @@ fn main() -> ExitCode {
             "tier2: FAILED ({}{}{})",
             if clippy { "" } else { "clippy " },
             if fmt { "" } else { "fmt " },
-            if reasons { "" } else { "reason-codes" }
+            if tables { "" } else { "design-tables" }
         );
         ExitCode::FAILURE
     }
@@ -105,7 +132,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{check_trace_schema, undocumented_reason_codes};
+    use super::{check_trace_schema, undocumented_reason_codes, undocumented_stats_series};
     use aggressive_inlining::hlo;
 
     #[test]
@@ -120,6 +147,23 @@ mod tests {
         let missing = undocumented_reason_codes(partial);
         assert!(missing.contains(&"ipa-pure-callee"));
         assert!(!missing.contains(&"accepted"));
+    }
+
+    #[test]
+    fn shipped_design_documents_every_stats_series() {
+        let design = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md"));
+        assert_eq!(undocumented_stats_series(design), Vec::new());
+    }
+
+    #[test]
+    fn missing_stats_series_are_reported() {
+        let partial = "| `hits` | `cache_hits_total` |\n\
+                       `misses` and `cache_misses_total`, but not in a table row\n\
+                       | `stale_hits` | `cache_hits_total` |\n";
+        let missing = undocumented_stats_series(partial);
+        assert!(!missing.contains(&("hits", "cache_hits_total")));
+        assert!(missing.contains(&("misses", "cache_misses_total")));
+        assert!(missing.contains(&("stale_hits", "pgo_reoptimize_total")));
     }
 
     #[test]
