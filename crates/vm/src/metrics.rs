@@ -12,7 +12,7 @@
 //! | `vm_bytecode_compile_us` | histogram | bytecode tier's compile step |
 //!
 //! Tier throughput in instructions/second is
-//! `vm_instructions_total / vm_exec_us.sum`.
+//! `vm_instructions_total{tier=…} / vm_exec_us_sum{tier=…}`.
 
 use crate::bytecode::BytecodeProgram;
 use crate::exec::run_counted;
