@@ -8,6 +8,12 @@
 //! per-function scans. Assembly goes through the same code path as
 //! [`CallGraph::build`], so the cached graph is always byte-identical to a
 //! fresh build — there is no "approximately right" mode.
+//!
+//! Because every pipeline stage that edits a body while the cache is in
+//! use reports the edit here, the cache also keeps a *settled* bit per
+//! function: the scalar optimizer converged on the function and its body
+//! has not changed since, so re-running the optimizer on it would change
+//! nothing. Invalidation clears the bit.
 
 use crate::callgraph::{scan_function, CallGraph, FuncScan};
 use hlo_ir::{FuncId, Program};
@@ -20,10 +26,17 @@ use hlo_ir::{FuncId, Program};
 /// automatically — the cache notices the program grew. Functions are never
 /// removed from a [`Program`] (deletion empties the body and drops the
 /// module-list entry), so shrinkage does not occur.
+///
+/// After running the scalar optimizer on a function to convergence, call
+/// [`CallGraphCache::settle`]; [`CallGraphCache::is_settled`] then holds
+/// until the next invalidation of that function.
 #[derive(Debug, Default)]
 pub struct CallGraphCache {
     scans: Vec<FuncScan>,
     dirty: Vec<bool>,
+    /// Indexed by id, and may reach past `scans` (a clone settles before
+    /// the next query scans it); ids past its end are unsettled.
+    settled: Vec<bool>,
     graph: Option<CallGraph>,
     rebuilds: u64,
     rescans: u64,
@@ -37,7 +50,8 @@ impl CallGraphCache {
     }
 
     /// Marks one function's body as changed. Only its out-edges (and the
-    /// address-taken bits it contributes) are re-scanned at the next query.
+    /// address-taken bits it contributes) are re-scanned at the next query,
+    /// and the function is no longer settled.
     pub fn invalidate(&mut self, f: FuncId) {
         if f.index() < self.dirty.len() {
             self.dirty[f.index()] = true;
@@ -45,6 +59,9 @@ impl CallGraphCache {
         }
         // Ids beyond the scanned range are new functions; growth is
         // detected in `graph()` regardless.
+        if let Some(s) = self.settled.get_mut(f.index()) {
+            *s = false;
+        }
     }
 
     /// Marks every function as changed (used after transforms with
@@ -53,7 +70,23 @@ impl CallGraphCache {
         for d in &mut self.dirty {
             *d = true;
         }
+        self.settled.clear();
         self.graph = None;
+    }
+
+    /// Records that the scalar optimizer converged on `f`'s current body,
+    /// until the next invalidation of `f`.
+    pub fn settle(&mut self, f: FuncId) {
+        if self.settled.len() <= f.index() {
+            self.settled.resize(f.index() + 1, false);
+        }
+        self.settled[f.index()] = true;
+    }
+
+    /// Whether `f` is settled: [`CallGraphCache::settle`] was called for it
+    /// and it has not been invalidated since.
+    pub fn is_settled(&self, f: FuncId) -> bool {
+        self.settled.get(f.index()).copied().unwrap_or(false)
     }
 
     /// The call graph of `p`, re-scanning only invalidated or newly
@@ -263,5 +296,80 @@ mod tests {
         let mut cache = CallGraphCache::new();
         cache.invalidate(FuncId(99));
         assert_matches_fresh(&mut cache, &p);
+        cache.settle(FuncId(1));
+        cache.invalidate(FuncId(99));
+        assert!(!cache.is_settled(FuncId(99)));
+        assert!(cache.is_settled(FuncId(1)));
+        assert_matches_fresh(&mut cache, &p);
+    }
+
+    #[test]
+    fn settled_until_invalidated() {
+        let p = chain_program(3);
+        let mut cache = CallGraphCache::new();
+        cache.graph(&p);
+        assert!(!cache.is_settled(FuncId(1)));
+        cache.settle(FuncId(1));
+        assert!(cache.is_settled(FuncId(1)));
+        // A query re-scans nothing and keeps the bit.
+        cache.graph(&p);
+        assert!(cache.is_settled(FuncId(1)));
+    }
+
+    #[test]
+    fn invalidate_unsettles_only_its_id() {
+        let p = chain_program(4);
+        let mut cache = CallGraphCache::new();
+        cache.graph(&p);
+        for i in 0..4 {
+            cache.settle(FuncId(i));
+        }
+        cache.invalidate(FuncId(2));
+        let settled: Vec<bool> = (0..4).map(|i| cache.is_settled(FuncId(i))).collect();
+        assert_eq!(settled, [true, true, false, true]);
+        // The re-scan that follows the invalidation does not resettle it.
+        assert_matches_fresh(&mut cache, &p);
+        assert!(!cache.is_settled(FuncId(2)));
+    }
+
+    #[test]
+    fn invalidate_all_unsettles_every_id() {
+        let p = chain_program(3);
+        let mut cache = CallGraphCache::new();
+        cache.graph(&p);
+        for i in 0..3 {
+            cache.settle(FuncId(i));
+        }
+        cache.invalidate_all();
+        assert!((0..3).all(|i| !cache.is_settled(FuncId(i))));
+    }
+
+    #[test]
+    fn fresh_clone_starts_unsettled_and_can_settle_before_its_scan() {
+        let mut p = chain_program(2);
+        let mut cache = CallGraphCache::new();
+        cache.graph(&p);
+        cache.settle(FuncId(0));
+        // Append a function past the scanned range, as cloning does.
+        let clone = FuncId(p.funcs.len() as u32);
+        let mut f = p.funcs[1].clone();
+        f.name = "f1.clone".into();
+        p.funcs.push(f);
+        p.modules[0].funcs.push(clone);
+        assert!(!cache.is_settled(clone));
+        cache.settle(clone);
+        assert!(cache.is_settled(clone));
+        // Scanning the grown program keeps both bits; an edit to the
+        // clone clears its own.
+        assert_matches_fresh(&mut cache, &p);
+        assert!(cache.is_settled(clone) && cache.is_settled(FuncId(0)));
+        cache.invalidate(clone);
+        assert!(!cache.is_settled(clone) && cache.is_settled(FuncId(0)));
+        // A clone appended later starts unsettled even though a
+        // neighbouring id was settled.
+        let later = FuncId(p.funcs.len() as u32);
+        p.funcs.push(p.funcs[1].clone());
+        assert_matches_fresh(&mut cache, &p);
+        assert!(!cache.is_settled(later));
     }
 }

@@ -502,11 +502,14 @@ pub fn clone_pass(
             }
 
             // Optimize the new clone so the bound constants take effect
-            // before costing (Figure 3 "optimize clones and recalibrate").
-            // Reused clones were already paid for when they were created.
+            // before costing (Figure 3 "optimize clones and recalibrate"),
+            // settling it if the optimizer converged. Reused clones were
+            // already paid for when they were created.
             let mut charged = 0u64;
             if created {
-                hlo_opt::optimize_function(p.func_mut(clone_id));
+                if hlo_opt::optimize_function(p.func_mut(clone_id)).converged {
+                    cache.settle(clone_id);
+                }
                 let s = p.func(clone_id).size();
                 budget.charge(s * s);
                 spent = spent.saturating_add(s * s);

@@ -973,14 +973,17 @@ fn splice_partition(p: &mut Program, finished: ReusedPartition, pi: usize, log: 
     }
 }
 
-/// One parallel scalar-cleanup round: every function with a body is
-/// optimized on the worker pool, each worker driving its function's
-/// sub-pass boundaries through a forked child checker. Children are
-/// absorbed in function order, reproducing the sequential run's
-/// diagnostics exactly; functions whose bodies changed are invalidated in
-/// the call-graph cache. Deleted routines and placeholders are already at
-/// the optimizer's fixpoint (no stage changes a lone `ret`), so they stay
-/// out of the pool.
+/// One parallel scalar-cleanup round: every function with a body that is
+/// not settled in the call-graph cache is optimized on the worker pool,
+/// each worker driving its function's sub-pass boundaries through a
+/// forked child checker. Children are absorbed in function order,
+/// reproducing the sequential run's diagnostics exactly; functions whose
+/// bodies changed are invalidated in the cache, and those the optimizer
+/// converged on are settled. A settled function is at the optimizer's
+/// fixpoint (nothing edited it since it converged), and deleted routines
+/// and placeholders are too (no stage changes a lone `ret`), so all of
+/// them stay out of the pool: re-running them would change nothing, and
+/// debug builds check exactly that on a copy of each settled one.
 fn cleanup_round(
     p: &mut Program,
     ck: &mut Checker,
@@ -988,24 +991,39 @@ fn cleanup_round(
     jobs: usize,
     tracer: &mut Tracer,
 ) {
+    #[cfg(debug_assertions)]
+    for (id, f) in p.iter_funcs() {
+        if cache.is_settled(id) && !has_empty_body(f) {
+            let mut copy = f.clone();
+            hlo_opt::optimize_function(&mut copy);
+            assert!(
+                copy == *f,
+                "cleanup skips `{}` as settled, but the scalar optimizer still changes it",
+                f.name
+            );
+        }
+    }
     let t = Instant::now();
     let ids: Vec<FuncId> = p
         .iter_funcs()
-        .filter(|(_, f)| !has_empty_body(f))
+        .filter(|&(id, f)| !has_empty_body(f) && !cache.is_settled(id))
         .map(|(id, _)| id)
         .collect();
     let parent: &Checker = ck;
     let out = par_funcs_mut(jobs, p, &ids, |_, f| {
         let mut child = parent.fork();
         let stats = hlo_opt::optimize_function_checked(f, &mut child);
-        (child, stats.changed)
+        (child, stats)
     });
     let wall = t.elapsed();
     let work = out.work;
-    for (&id, (child, changed)) in ids.iter().zip(out.results) {
+    for (&id, (child, stats)) in ids.iter().zip(out.results) {
         ck.absorb(child);
-        if changed {
+        if stats.changed {
             cache.invalidate(id);
+        }
+        if stats.converged {
+            cache.settle(id);
         }
     }
     tracer.leaf("cleanup", wall, work);
@@ -1709,5 +1727,58 @@ mod tests {
         assert_eq!(ra.diagnostics, rb.diagnostics);
         assert_eq!(ra.checks_run, rb.checks_run);
         assert_eq!(ra.introduced_diagnostics().count(), 0, "{ra}");
+    }
+
+    #[test]
+    fn cleanup_skips_settled_functions_until_they_are_edited() {
+        let mut p = hlo_frontc::compile(&[("interp", INTERP_SRC)]).unwrap();
+        let mut ck = Checker::new(CheckLevel::Strict);
+        let mut cache = CallGraphCache::new();
+        let mut tracer = Tracer::disabled();
+        let mut round = |p: &mut Program, cache: &mut CallGraphCache| {
+            let before = ck.checks_run();
+            cleanup_round(p, &mut ck, cache, 1, &mut tracer);
+            ck.checks_run() - before
+        };
+        let bodies: Vec<FuncId> = p
+            .iter_funcs()
+            .filter(|(_, f)| !has_empty_body(f))
+            .map(|(id, _)| id)
+            .collect();
+        // Every function runs at least one round of eight sub-passes, and
+        // all of them converge.
+        assert!(round(&mut p, &mut cache) >= 8 * bodies.len() as u32);
+        assert!(bodies.iter().all(|&id| cache.is_settled(id)));
+        let settled = p.clone();
+        // Nothing edited: the round optimizes nothing, so it checks no
+        // sub-pass boundary and leaves every body as it was.
+        assert_eq!(round(&mut p, &mut cache), 0);
+        assert_eq!(p, settled);
+        // An invalidated function is optimized again: one round of eight
+        // sub-pass boundaries, since it is still at its fixpoint.
+        cache.invalidate(FuncId(0));
+        assert_eq!(round(&mut p, &mut cache), 8);
+        assert!(cache.is_settled(FuncId(0)));
+        // Every round still records its `cleanup` leaf.
+        let leaves = tracer.spans().iter().filter(|s| s.name == "cleanup");
+        assert_eq!(leaves.count(), 3);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the scalar optimizer still changes it")]
+    fn debug_oracle_rejects_a_settled_function_off_its_fixpoint() {
+        // `main` folds to `ret 6`, so settling it unoptimized is the bug
+        // the oracle exists to catch.
+        let mut p = hlo_frontc::compile(&[("m", "fn main() { return 2 * 3; }")]).unwrap();
+        let mut cache = CallGraphCache::new();
+        cache.settle(FuncId(0));
+        cleanup_round(
+            &mut p,
+            &mut Checker::disabled(),
+            &mut cache,
+            1,
+            &mut Tracer::disabled(),
+        );
     }
 }

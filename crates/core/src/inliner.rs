@@ -342,12 +342,17 @@ pub fn inline_pass(
 
     // Re-optimize the callers that grew (Figure 4 "optimize inlines") on
     // the worker pool. Each touched caller's cached call-graph scan is
-    // stale now. The budget keeps the charged estimate; the driver
-    // recalibrates it from measured sizes once the pass's cleanup is done.
+    // stale now, and the ones the optimizer converged on are settled, so
+    // the pass's cleanup round skips them. The budget keeps the charged
+    // estimate; the driver recalibrates it from measured sizes once the
+    // pass's cleanup is done.
     let reopt_start = Instant::now();
     let out = par_funcs_mut(jobs, p, &touched, |_, f| hlo_opt::optimize_function(f));
-    for &f in &touched {
+    for (&f, stats) in touched.iter().zip(&out.results) {
         cache.invalidate(f);
+        if stats.converged {
+            cache.settle(f);
+        }
     }
     result.apply_wall = splice_elapsed + reopt_start.elapsed();
     result.apply_work = splice_elapsed + out.work;

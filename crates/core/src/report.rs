@@ -77,7 +77,10 @@ pub struct HloReport {
     /// a healthy pipeline also when it is on). Findings with origin
     /// `"input"` were present before any pass ran.
     pub diagnostics: Vec<hlo_lint::Diagnostic>,
-    /// How many pass boundaries the verify-each checker inspected.
+    /// How many pass boundaries the verify-each checker inspected: one per
+    /// pipeline stage, plus one per scalar sub-pass of each function a
+    /// cleanup round optimizes (functions settled at the optimizer's
+    /// fixpoint are skipped, so they add none).
     pub checks_run: u32,
     /// Time spent in verify-each batteries, in microseconds. Under
     /// parallel cleanup this is cumulative work across workers, not wall

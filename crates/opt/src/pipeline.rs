@@ -28,6 +28,10 @@ pub struct OptStats {
     /// instruction indices, so any cached [`hlo_analysis::CallGraph`]
     /// sites into it are stale even when no call was touched.
     pub changed: bool,
+    /// Whether the last round changed nothing, so the result is at the
+    /// optimizer's fixpoint: running it again changes nothing. False when
+    /// the round limit cut the iteration short.
+    pub converged: bool,
 }
 
 impl OptStats {
@@ -53,6 +57,12 @@ impl OptStats {
 /// algebraic simplification → CFG simplify → store-to-load forwarding →
 /// copyprop → CSE → DCE → dead-slot elimination, repeated while anything
 /// changes, at most `MAX_ROUNDS` times.
+///
+/// The result depends on `f` alone, and profile counts only enter it
+/// after a branch folds (constprop's profile repair). So once a run
+/// reports [`OptStats::converged`], running it again changes nothing,
+/// even after the counts were rescaled: the HLO driver relies on this to
+/// skip functions that have not changed since they converged.
 pub fn optimize_function(f: &mut Function) -> OptStats {
     optimize_function_checked(f, &mut Checker::disabled())
 }
@@ -88,6 +98,7 @@ pub fn optimize_function_checked(f: &mut Function, ck: &mut Checker) -> OptStats
             || alg_n + fwd_n + slot_n > 0;
         stats.changed |= round_changed;
         if !round_changed {
+            stats.converged = true;
             break;
         }
     }
@@ -126,6 +137,7 @@ pub fn optimize_program_checked(p: &mut Program, ck: &mut Checker) -> OptStats {
         stats.pure_calls_removed += pure_n;
         stats.changed |= pure_n > 0;
         if pure_n == 0 && !changed {
+            stats.converged = true;
             break;
         }
     }
