@@ -18,9 +18,8 @@
 //! single-constant edit to one module of a many-module program, the
 //! daemon must splice every untouched partition from its store
 //! (`partition_hits > 0`, `partition_rebuilds` below the partition
-//! count), answer byte-identically to a from-scratch optimize at
-//! `--jobs 1` and `--jobs 4`, and do it in at most half the cold
-//! full-build latency.
+//! count), answer byte-identically to a from-scratch optimize, and do it
+//! in at most half the cold full-build latency.
 
 use hlo::HloOptions;
 use hlo_profile::collect_profile;
@@ -145,17 +144,10 @@ fn main() -> ExitCode {
     println!("observability: {}", if observable { "yes" } else { "NO" });
     ok &= observable;
 
-    let (edits_ok, edit_rows) = warm_edit_probe();
-    ok &= edits_ok;
+    let (edit_ok, edit) = warm_edit_probe();
+    ok &= edit_ok;
 
-    let json = render_json(
-        hit_rate,
-        cold_total,
-        warm_total,
-        restart_warm,
-        &rows,
-        &edit_rows,
-    );
+    let json = render_json(hit_rate, cold_total, warm_total, restart_warm, &rows, &edit);
     let path = "BENCH_serve.json";
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("serve_bench: cannot write {path}: {e}");
@@ -306,9 +298,8 @@ fn observability_probe() -> bool {
     echoed && phases_add_up && spans_named && flight_named && slow_logged
 }
 
-/// One `--jobs` leg of the edit-one-function scenario.
+/// The edit-one-function scenario's measurements.
 struct EditRow {
-    jobs: usize,
     cold_us: u64,
     warm_us: u64,
     partitions: u64,
@@ -340,11 +331,8 @@ fn edit_sources(modules: usize, bumped: Option<usize>) -> Vec<(String, String)> 
 /// Edit-one-function: cold-build a 12-module program, edit one constant
 /// in one module, and require the warm rebuild to splice (hits > 0,
 /// rebuilds < partitions), match a from-scratch optimize byte-for-byte,
-/// and land in at most half the cold latency — at `--jobs 1` and `4`. A
-/// separate daemon per job count: `jobs` is deliberately outside the
-/// cache fingerprint, so one daemon would serve the second leg from its
-/// whole-program cache.
-fn warm_edit_probe() -> (bool, Vec<EditRow>) {
+/// and land in at most half the cold latency.
+fn warm_edit_probe() -> (bool, EditRow) {
     const MODULES: usize = 12;
     let base = edit_sources(MODULES, None);
     let edited = edit_sources(MODULES, Some(MODULES / 2));
@@ -352,76 +340,66 @@ fn warm_edit_probe() -> (bool, Vec<EditRow>) {
         "edit-one-function: 1 of {MODULES} modules edited (gate: splice + identity + <=0.5x cold)"
     );
     println!(
-        "{:<6} {:>12} {:>12} {:>8} {:>6} {:>9} {:>5}",
-        "jobs", "cold(us)", "edit(us)", "speedup", "hits", "rebuilds", "ok"
+        "{:>12} {:>12} {:>8} {:>6} {:>9} {:>5}",
+        "cold(us)", "edit(us)", "speedup", "hits", "rebuilds", "ok"
     );
-    hlo_bench::rule(62);
+    hlo_bench::rule(55);
 
-    let mut ok = true;
-    let mut rows = Vec::new();
-    for jobs in [1usize, 4] {
-        let opts = HloOptions {
-            scope: hlo::Scope::WithinModule,
-            jobs,
-            ..HloOptions::default()
-        };
-        let truth = |srcs: &[(String, String)]| {
-            let refs: Vec<(&str, &str)> =
-                srcs.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-            let mut p = hlo_frontc::compile(&refs).expect("edit program compiles");
-            let _ = hlo::optimize(&mut p, None, &opts);
-            hlo_ir::program_to_text(&p)
-        };
-        let request = |srcs: &[(String, String)]| OptimizeRequest {
-            options: opts.clone(),
-            source: SourceKind::Minc(srcs.to_vec()),
-            profile: ProfileSpec::None,
-            deadline_ms: None,
-            train_arg: None,
-            trace_id: None,
-        };
-        let server = Server::spawn("127.0.0.1:0", ServeConfig::default()).expect("spawn daemon");
-        let mut client = Client::connect(server.local_addr()).expect("connect");
+    let opts = HloOptions {
+        scope: hlo::Scope::WithinModule,
+        ..HloOptions::default()
+    };
+    let truth = |srcs: &[(String, String)]| {
+        let refs: Vec<(&str, &str)> = srcs.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+        let mut p = hlo_frontc::compile(&refs).expect("edit program compiles");
+        let _ = hlo::optimize(&mut p, None, &opts);
+        hlo_ir::program_to_text(&p)
+    };
+    let request = |srcs: &[(String, String)]| OptimizeRequest {
+        options: opts.clone(),
+        source: SourceKind::Minc(srcs.to_vec()),
+        profile: ProfileSpec::None,
+        deadline_ms: None,
+        train_arg: None,
+        trace_id: None,
+    };
+    let server = Server::spawn("127.0.0.1:0", ServeConfig::default()).expect("spawn daemon");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
 
-        let t = Instant::now();
-        let cold = client.optimize(&request(&base)).expect("cold build");
-        let cold_us = t.elapsed().as_micros() as u64;
-        let t = Instant::now();
-        let warm = client.optimize(&request(&edited)).expect("warm edit");
-        let warm_us = t.elapsed().as_micros() as u64;
-        client.shutdown().expect("shutdown");
-        server.wait();
+    let t = Instant::now();
+    let cold = client.optimize(&request(&base)).expect("cold build");
+    let cold_us = t.elapsed().as_micros() as u64;
+    let t = Instant::now();
+    let warm = client.optimize(&request(&edited)).expect("warm edit");
+    let warm_us = t.elapsed().as_micros() as u64;
+    client.shutdown().expect("shutdown");
+    server.wait();
 
-        let row = EditRow {
-            jobs,
-            cold_us,
-            warm_us,
-            partitions: cold.outcome.partition_rebuilds,
-            hits: warm.outcome.partition_hits,
-            rebuilds: warm.outcome.partition_rebuilds,
-            identical: cold.ir_text == truth(&base) && warm.ir_text == truth(&edited),
-        };
-        let row_ok = row.identical
-            && row.hits > 0
-            && row.rebuilds < row.partitions
-            && row.warm_us * 2 <= row.cold_us;
-        ok &= row_ok;
-        println!(
-            "{:<6} {:>12} {:>12} {:>7.1}x {:>6} {:>9} {:>5}",
-            row.jobs,
-            row.cold_us,
-            row.warm_us,
-            row.cold_us as f64 / row.warm_us.max(1) as f64,
-            row.hits,
-            row.rebuilds,
-            if row_ok { "yes" } else { "NO" }
-        );
-        rows.push(row);
-    }
+    let row = EditRow {
+        cold_us,
+        warm_us,
+        partitions: cold.outcome.partition_rebuilds,
+        hits: warm.outcome.partition_hits,
+        rebuilds: warm.outcome.partition_rebuilds,
+        identical: cold.ir_text == truth(&base) && warm.ir_text == truth(&edited),
+    };
+    let ok = row.identical
+        && row.hits > 0
+        && row.rebuilds < row.partitions
+        && row.warm_us * 2 <= row.cold_us;
+    println!(
+        "{:>12} {:>12} {:>7.1}x {:>6} {:>9} {:>5}",
+        row.cold_us,
+        row.warm_us,
+        row.cold_us as f64 / row.warm_us.max(1) as f64,
+        row.hits,
+        row.rebuilds,
+        if ok { "yes" } else { "NO" }
+    );
     if !ok {
-        eprintln!("serve_bench: edit-one-function gate failed — see rows marked NO");
+        eprintln!("serve_bench: edit-one-function gate failed — see the row marked NO");
     }
-    (ok, rows)
+    (ok, row)
 }
 
 /// Hand-rolled JSON (the registry is offline; no serde). All strings are
@@ -432,7 +410,7 @@ fn render_json(
     warm_total: u64,
     restart_warm: bool,
     rows: &[Row],
-    edit_rows: &[EditRow],
+    edit: &EditRow,
 ) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -461,23 +439,12 @@ fn render_json(
         );
     }
     let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"warm_edit\": [");
-    for (i, r) in edit_rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"jobs\": {}, \"cold_us\": {}, \"warm_us\": {}, \"partitions\": {}, \
-             \"partition_hits\": {}, \"partition_rebuilds\": {}, \"identical\": {}}}{}",
-            r.jobs,
-            r.cold_us,
-            r.warm_us,
-            r.partitions,
-            r.hits,
-            r.rebuilds,
-            r.identical,
-            if i + 1 < edit_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "  ]");
+    let _ = writeln!(
+        s,
+        "  \"warm_edit\": {{\"cold_us\": {}, \"warm_us\": {}, \"partitions\": {}, \
+         \"partition_hits\": {}, \"partition_rebuilds\": {}, \"identical\": {}}}",
+        edit.cold_us, edit.warm_us, edit.partitions, edit.hits, edit.rebuilds, edit.identical
+    );
     let _ = write!(s, "}}");
     s
 }

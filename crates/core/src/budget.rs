@@ -89,8 +89,8 @@ impl Budget {
 /// budget once that partition's own input-stage cleanup is done and adds
 /// it with [`BudgetSet::push`], so the set grows in partition order.
 ///
-/// The split mirrors the proportional headroom split the parallel
-/// planner applies within a pass: every partition gets the same growth
+/// The split mirrors the proportional headroom split the clone and
+/// inline planners apply within a pass: every partition gets the same growth
 /// *percentage*, so headroom is proportional to partition cost and the
 /// per-partition limits sum to (within integer truncation of) the
 /// whole-program limit.

@@ -1,20 +1,16 @@
-//! The cloning pass (paper §2.3, Figure 3), partitioned for the
-//! parallel pipeline.
+//! The cloning pass (paper §2.3, Figure 3), partitioned.
 //!
 //! Clone groups are built per call-graph partition (a group's sites all
 //! call one callee, and a callee and its callers share a partition by
-//! construction), so group building fans out over the worker pool without
-//! any cross-partition coordination. Selection and materialization stay
-//! sequential in partition order: they mutate the program, the clone
-//! database and the budget, and sequential order is what keeps `FuncId`
-//! allocation — and therefore the printed program — byte-identical at any
-//! worker count.
+//! construction), so a partition's groups need nothing from any other
+//! partition. Selection and materialization then run in partition order:
+//! they mutate the program, the clone database and the budget, and that
+//! order fixes `FuncId` allocation, and therefore the printed program.
 
 use crate::budget::Budget;
 use crate::driver::{HloOptions, Scope};
 use crate::inliner::site_str;
 use crate::legality::clone_restriction;
-use crate::par::{effective_jobs, par_map};
 use crate::transform::{make_clone, redirect_site_to_clone, scale_profile};
 use hlo_analysis::{CallGraph, CallGraphCache, CallGraphPartition, CallSiteRef};
 use hlo_ir::{Callee, ConstVal, FuncId, Function, Inst, Linkage, Operand, Program};
@@ -56,12 +52,8 @@ pub struct ClonePassResult {
     pub sites_replaced: u64,
     /// Wall-clock time of usage analysis + group building.
     pub plan_wall: Duration,
-    /// Cumulative planning work summed over workers.
-    pub plan_work: Duration,
-    /// Wall-clock time of selection + materialization (sequential).
+    /// Wall-clock time of selection + materialization.
     pub apply_wall: Duration,
-    /// Apply work (== wall; materialization is sequential).
-    pub apply_work: Duration,
 }
 
 /// Parameter-usage weights: how much a routine would benefit from knowing
@@ -170,9 +162,9 @@ fn context_of(p: &Program, site: &CallSiteRef) -> Vec<Option<ConstVal>> {
 /// Builds one partition's clone groups greedily (Figure 3 "build clone
 /// groups"), scanning only the partition's own edges; the parameter usage
 /// of each callee (Figure 3 "setup") is computed when the scan first
-/// meets it. Read-only; when `explain` is set, legality rejections come
-/// back as decision events (seed-loop only, so each restricted edge
-/// reports exactly once).
+/// meets it. Read-only; at the decisions trace level, legality rejections
+/// are recorded as decision events (seed-loop only, so each restricted
+/// edge reports exactly once).
 fn build_groups(
     p: &Program,
     cg: &CallGraph,
@@ -180,12 +172,12 @@ fn build_groups(
     summaries: Option<&hlo_ipa::Summaries>,
     opts: &HloOptions,
     pass: u32,
-    explain: bool,
-) -> (Vec<CloneGroup>, Vec<DecisionEvent>) {
+    tracer: &mut Tracer,
+) -> Vec<CloneGroup> {
+    let explain = tracer.decisions_enabled();
     let mut usage: HashMap<FuncId, Vec<f64>> = HashMap::new();
     let mut claimed: HashSet<usize> = HashSet::new();
     let mut groups: Vec<CloneGroup> = Vec::new();
-    let mut events: Vec<DecisionEvent> = Vec::new();
     for &ei in &part.edge_indices {
         if claimed.contains(&ei) {
             continue;
@@ -193,7 +185,7 @@ fn build_groups(
         let edge = &cg.edges[ei];
         if let Some(r) = clone_restriction(p, &edge.site, opts.scope) {
             if explain {
-                events.push(DecisionEvent {
+                tracer.decision(DecisionEvent {
                     pass,
                     kind: DecisionKind::Clone,
                     site: site_str(p, &edge.site),
@@ -295,7 +287,7 @@ fn build_groups(
             retires_clonee,
         });
     }
-    (groups, events)
+    groups
 }
 
 /// The profile count of a call site's block (1.0 when unannotated).
@@ -328,44 +320,29 @@ pub fn clone_pass(
     tracer: &mut Tracer,
 ) -> ClonePassResult {
     let mut result = ClonePassResult::default();
-    let jobs = effective_jobs(opts.jobs);
     let explain = tracer.decisions_enabled();
     let plan_start = Instant::now();
-    let par_work;
-    let par_wall;
 
-    // Build clone groups, one partition per work item; a partition
-    // without call edges has no site to clone for and is skipped. The
-    // workers' legality-rejection events are absorbed sequentially in
-    // partition order — the order a sequential run would emit them.
+    // Build clone groups partition by partition; a partition without call
+    // edges has no site to clone for and is skipped.
     let mut parts: Vec<PartitionGroups> = {
         let cg = cache.graph(p);
-        let partitions: Vec<_> = cg
-            .partitions()
-            .into_iter()
-            .filter(|part| !part.edge_indices.is_empty())
-            .collect();
         let p_ref: &Program = p;
         let summaries = opts.ipa.then(|| hlo_ipa::Summaries::compute(p_ref, cg));
-        let t = Instant::now();
-        let out = par_map(jobs, &partitions, |_, part| {
-            build_groups(
+        let mut parts = Vec::new();
+        for part in cg.partitions() {
+            if part.edge_indices.is_empty() {
+                continue;
+            }
+            let mut groups = build_groups(
                 p_ref,
                 cg,
-                part,
+                &part,
                 summaries.as_ref(),
                 opts,
                 pass as u32,
-                explain,
-            )
-        });
-        par_wall = t.elapsed();
-        par_work = out.work;
-        let mut parts = Vec::new();
-        for (part, (mut groups, events)) in partitions.iter().zip(out.results) {
-            for e in events {
-                tracer.decision(e);
-            }
+                tracer,
+            );
             if groups.is_empty() {
                 continue;
             }
@@ -402,11 +379,8 @@ pub fn clone_pass(
         t.share = ((headroom as u128 * t.cost as u128) / total_cost.max(1) as u128) as u64;
     }
     result.plan_wall = plan_start.elapsed();
-    // Work = the sequential remainder (graph query, ranking, shares) plus
-    // the parallel sections' cumulative worker time.
-    result.plan_work = result.plan_wall.saturating_sub(par_wall) + par_work;
 
-    // Select under the stage budget, sequentially in partition order.
+    // Select under the stage budget, in partition order.
     let apply_start = Instant::now();
     'parts: for part in parts {
         let mut spent = 0u64;
@@ -541,7 +515,6 @@ pub fn clone_pass(
         }
     }
     result.apply_wall = apply_start.elapsed();
-    result.apply_work = result.apply_wall;
 
     result
 }

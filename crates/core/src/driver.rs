@@ -1,20 +1,15 @@
-//! The multi-pass driver (paper §2.2, Figure 2), parallel edition.
+//! The multi-pass driver (paper §2.2, Figure 2).
 //!
 //! The pipeline runs one call-graph partition at a time, each on a
 //! sub-program of its own (see [`optimize_partial`]). Within a partition
 //! one [`CallGraphCache`] is shared across every stage, so passes re-scan
-//! only the functions they actually edited. Per-function stages
-//! (frequency annotation, scalar cleanup) and per-component stages
-//! (inline/clone planning) fan out over the [`crate::par`] worker pool;
-//! everything that allocates `FuncId`s or charges the budget stays
-//! sequential, which is why the output is byte-identical at any
-//! [`HloOptions::jobs`] value.
+//! only the functions they actually edited. Every stage runs on the
+//! calling thread, in function and partition order.
 
 use crate::budget::{Budget, BudgetSet};
 use crate::cloner::{clone_pass, CloneDb};
 use crate::delete::{delete_unreachable, empty_body, has_empty_body};
 use crate::inliner::inline_pass;
-use crate::par::{effective_jobs, par_funcs_mut, par_map_funcs};
 use crate::report::{HloReport, PassReport, StageTiming};
 use hlo_analysis::{estimate_static_profile, CallGraph, CallGraphCache};
 use hlo_ir::{FuncId, FuncProfile, Function, Linkage, Module, Program};
@@ -87,11 +82,6 @@ pub struct HloOptions {
     /// plus decision provenance). Pure observability: never changes the
     /// produced program, and is normalized out of the fingerprint.
     pub trace: TraceLevel,
-    /// Worker threads for the parallel stages: `1` (the default) runs
-    /// everything inline, `0` means "all available hardware parallelism".
-    /// The produced program is byte-identical for every value — only
-    /// wall-clock time changes.
-    pub jobs: usize,
 }
 
 impl HloOptions {
@@ -147,7 +137,6 @@ impl HloOptions {
             }
         );
         let _ = writeln!(s, "trace {}", self.trace);
-        let _ = writeln!(s, "jobs {}", self.jobs);
         s
     }
 
@@ -213,7 +202,6 @@ impl HloOptions {
                 "outline.min_region_size" => o.outline.min_region_size = num("min_region_size")?,
                 "check" => o.check = val.parse()?,
                 "trace" => o.trace = val.parse()?,
-                "jobs" => o.jobs = num("jobs")? as usize,
                 other => return Err(format!("unknown option key `{other}`")),
             }
         }
@@ -221,14 +209,11 @@ impl HloOptions {
     }
 
     /// A stable 64-bit fingerprint of every option that can change the
-    /// *produced program*. `jobs`, `check` and `trace` are normalized
-    /// out: the pipeline guarantees byte-identical output at any worker
-    /// count, and verify-each and tracing only observe — so a result
-    /// cached at `jobs=8` is a valid hit for a `jobs=1 --verify-each`
-    /// (or `--explain`) request.
+    /// *produced program*. `check` and `trace` are normalized out:
+    /// verify-each and tracing only observe, so a cached plain result is a
+    /// valid hit for a `--verify-each` (or `--explain`) request.
     pub fn fingerprint(&self) -> u64 {
         let canonical = HloOptions {
-            jobs: 1,
             check: CheckLevel::Off,
             trace: TraceLevel::Off,
             ..self.clone()
@@ -255,7 +240,6 @@ impl Default for HloOptions {
             outline: crate::OutlineOptions::default(),
             check: CheckLevel::Off,
             trace: TraceLevel::Off,
-            jobs: 1,
         }
     }
 }
@@ -275,7 +259,7 @@ pub fn optimize(p: &mut Program, profile: Option<&ProfileDb>, opts: &HloOptions)
 /// how a *request* asks a remote daemon for a tracing run. Tracing is pure
 /// observation: the produced program is byte-identical with tracing on or
 /// off, and trace *content* (span tree, decisions, metrics) is identical
-/// at any [`HloOptions::jobs`] value once timestamps are normalized away.
+/// across runs once timestamps are normalized away.
 pub fn optimize_traced(
     p: &mut Program,
     profile: Option<&ProfileDb>,
@@ -385,7 +369,6 @@ pub fn optimize_partial(
     plan: Option<&[PartitionAction]>,
     tracer: &mut Tracer,
 ) -> PartialOutcome {
-    let jobs = effective_jobs(opts.jobs);
     let span_base = tracer.span_count();
     let run_t = Instant::now();
     let root = tracer.push("optimize");
@@ -419,7 +402,6 @@ pub fn optimize_partial(
 
     let mut build = Build {
         opts,
-        jobs,
         ck: Checker::new(opts.check),
         report: HloReport::default(),
         budgets: BudgetSet::default(),
@@ -438,20 +420,16 @@ pub fn optimize_partial(
 
     // Frequency annotation: PBO counts when available, the static
     // loop-depth heuristic otherwise. With a profile database, functions
-    // never executed in training are cold, not unknown. The per-function
-    // fallback fans out over the worker pool. (Reused partitions are
-    // annotated too — harmless, their bodies are replaced at splice.)
-    let t0 = Instant::now();
+    // never executed in training are cold, not unknown. (Reused partitions
+    // are annotated too — harmless, their bodies are replaced at splice.)
+    let t = Instant::now();
     build.report.profile_annotations = match profile {
         Some(db) => apply_profile(p, db) as u64,
         None => 0,
     };
-    let seq = t0.elapsed();
-    let has_profile = profile.is_some();
-    let t1 = Instant::now();
-    let out = par_map_funcs(jobs, p, |_, f| {
+    for f in &mut p.funcs {
         if f.profile.is_none() {
-            f.profile = Some(if has_profile {
+            f.profile = Some(if profile.is_some() {
                 FuncProfile {
                     entry: 0.0,
                     blocks: vec![0.0; f.blocks.len()],
@@ -460,8 +438,8 @@ pub fn optimize_partial(
                 estimate_static_profile(f)
             });
         }
-    });
-    tracer.leaf("annotate", seq + t1.elapsed(), seq + out.work);
+    }
+    tracer.leaf_seq("annotate", t.elapsed());
     build.ck.check(p, "annotate");
 
     let mut log = BuildLog::default();
@@ -535,7 +513,6 @@ pub fn optimize_partial(
 
     tracer.pop(root, run_t.elapsed());
     report.final_cost = p.compile_cost();
-    report.jobs = jobs as u64;
     report.stage_timings = tracer
         .stage_totals_since(span_base)
         .into_iter()
@@ -564,7 +541,6 @@ pub fn optimize_partial(
 /// and the per-pass rows every partition adds to.
 struct Build<'a> {
     opts: &'a HloOptions,
-    jobs: usize,
     ck: Checker,
     report: HloReport,
     budgets: BudgetSet,
@@ -614,9 +590,9 @@ impl Build<'_> {
         }
 
         // The partition's budget, a pure function of its own post-prepass
-        // cost — the hierarchical split mirrors how the parallel planner
-        // splits stage headroom proportionally. The limits sum to the
-        // global budget (within integer truncation).
+        // cost — the hierarchical split mirrors how the clone and inline
+        // planners split stage headroom proportionally. The limits sum to
+        // the global budget (within integer truncation).
         let cost = |q: &Program| q.compile_cost() - placeholders;
         let initial = cost(q);
         self.report.initial_cost += initial;
@@ -645,8 +621,8 @@ impl Build<'_> {
                 pr.clones_created += r.clones_created;
                 pr.clones_reused += r.clones_reused;
                 pr.clone_replacements += r.sites_replaced;
-                tracer.leaf("clone.plan", r.plan_wall, r.plan_work);
-                tracer.leaf("clone.apply", r.apply_wall, r.apply_work);
+                tracer.leaf_seq("clone.plan", r.plan_wall);
+                tracer.leaf_seq("clone.apply", r.apply_wall);
                 self.ck.check(q, &format!("clone@{pass}"));
             }
             if opts.enable_inline {
@@ -660,8 +636,8 @@ impl Build<'_> {
                     tracer,
                 );
                 self.passes[pass].inlines += r.inlines;
-                tracer.leaf("inline.plan", r.plan_wall, r.plan_work);
-                tracer.leaf("inline.apply", r.apply_wall, r.apply_work);
+                tracer.leaf_seq("inline.plan", r.plan_wall);
+                tracer.leaf_seq("inline.apply", r.apply_wall);
                 self.ck.check(q, &format!("inline@{pass}"));
             }
             let t = Instant::now();
@@ -709,8 +685,8 @@ impl Build<'_> {
         tracer: &mut Tracer,
         pass: u32,
     ) {
-        let (opts, jobs) = (self.opts, self.jobs);
-        cleanup_round(q, &mut self.ck, cache, jobs, tracer);
+        let opts = self.opts;
+        cleanup_round(q, &mut self.ck, cache, tracer);
         if opts.scope != Scope::CrossModule {
             return;
         }
@@ -739,7 +715,7 @@ impl Build<'_> {
         }
         self.report.pure_calls_removed += removal.removed;
         if removal.removed > 0 {
-            cleanup_round(q, &mut self.ck, cache, jobs, tracer);
+            cleanup_round(q, &mut self.ck, cache, tracer);
         }
 
         // Summary-driven stage: fold constant returns, delete calls the
@@ -798,7 +774,7 @@ impl Build<'_> {
                 || ipa_removal.removed > 0
                 || xstats.forwards + xstats.dead_stores > 0
             {
-                cleanup_round(q, &mut self.ck, cache, jobs, tracer);
+                cleanup_round(q, &mut self.ck, cache, tracer);
             }
         }
     }
@@ -973,22 +949,19 @@ fn splice_partition(p: &mut Program, finished: ReusedPartition, pi: usize, log: 
     }
 }
 
-/// One parallel scalar-cleanup round: every function with a body that is
-/// not settled in the call-graph cache is optimized on the worker pool,
-/// each worker driving its function's sub-pass boundaries through a
-/// forked child checker. Children are absorbed in function order,
-/// reproducing the sequential run's diagnostics exactly; functions whose
-/// bodies changed are invalidated in the cache, and those the optimizer
+/// One scalar-cleanup round: every function with a body that is not
+/// settled in the call-graph cache is optimized, in function order, with
+/// its sub-pass boundaries checked through `ck`. Functions whose bodies
+/// changed are invalidated in the cache, and those the optimizer
 /// converged on are settled. A settled function is at the optimizer's
 /// fixpoint (nothing edited it since it converged), and deleted routines
-/// and placeholders are too (no stage changes a lone `ret`), so all of
-/// them stay out of the pool: re-running them would change nothing, and
-/// debug builds check exactly that on a copy of each settled one.
+/// and placeholders are too (no stage changes a lone `ret`), so the round
+/// skips all of them: re-running them would change nothing, and debug
+/// builds check exactly that on a copy of each settled one.
 fn cleanup_round(
     p: &mut Program,
     ck: &mut Checker,
     cache: &mut CallGraphCache,
-    jobs: usize,
     tracer: &mut Tracer,
 ) {
     #[cfg(debug_assertions)]
@@ -1009,16 +982,8 @@ fn cleanup_round(
         .filter(|&(id, f)| !has_empty_body(f) && !cache.is_settled(id))
         .map(|(id, _)| id)
         .collect();
-    let parent: &Checker = ck;
-    let out = par_funcs_mut(jobs, p, &ids, |_, f| {
-        let mut child = parent.fork();
-        let stats = hlo_opt::optimize_function_checked(f, &mut child);
-        (child, stats)
-    });
-    let wall = t.elapsed();
-    let work = out.work;
-    for (&id, (child, stats)) in ids.iter().zip(out.results) {
-        ck.absorb(child);
+    for id in ids {
+        let stats = hlo_opt::optimize_function_checked(p.func_mut(id), ck);
         if stats.changed {
             cache.invalidate(id);
         }
@@ -1026,7 +991,7 @@ fn cleanup_round(
             cache.settle(id);
         }
     }
-    tracer.leaf("cleanup", wall, work);
+    tracer.leaf_seq("cleanup", t.elapsed());
 }
 
 /// A pure-call deletion / ipa-stage decision event in the canonical
@@ -1365,28 +1330,16 @@ mod tests {
     }
 
     #[test]
-    fn any_job_count_produces_identical_output() {
+    fn repeated_runs_produce_identical_output() {
         let p0 = hlo_frontc::compile(&[("interp", INTERP_SRC)]).unwrap();
         let mut base = p0.clone();
         let r1 = optimize(&mut base, None, &HloOptions::default());
-        let base_text = hlo_ir::program_to_text(&base);
-        for jobs in [2usize, 8] {
-            let mut q = p0.clone();
-            let r = optimize(
-                &mut q,
-                None,
-                &HloOptions {
-                    jobs,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(base_text, hlo_ir::program_to_text(&q), "jobs={jobs}");
-            assert_eq!(r.inlines, r1.inlines);
-            assert_eq!(r.compile_time_units(), r1.compile_time_units());
-            assert_eq!(r.operations(), r1.operations());
-            assert_eq!(r.jobs, jobs as u64);
-        }
-        assert_eq!(r1.jobs, 1);
+        let mut q = p0.clone();
+        let r = optimize(&mut q, None, &HloOptions::default());
+        assert_eq!(hlo_ir::program_to_text(&base), hlo_ir::program_to_text(&q));
+        assert_eq!(r.inlines, r1.inlines);
+        assert_eq!(r.compile_time_units(), r1.compile_time_units());
+        assert_eq!(r.operations(), r1.operations());
         assert!(!r1.stage_timings.is_empty());
         assert!(r1.stage_timings.iter().any(|s| s.stage == "cleanup"));
     }
@@ -1402,7 +1355,6 @@ mod tests {
             max_ops: Some(42),
             enable_outline: true,
             check: CheckLevel::Strict,
-            jobs: 9,
             ..Default::default()
         };
         o.outline.cold_fraction = 0.125;
@@ -1415,13 +1367,14 @@ mod tests {
         );
         assert!(HloOptions::from_text("zzz 1").is_err());
         assert!(HloOptions::from_text("scope galaxy").is_err());
+        // `jobs` is no longer an option.
+        assert!(HloOptions::from_text("jobs 4").is_err());
     }
 
     #[test]
-    fn fingerprint_ignores_jobs_and_check_only() {
+    fn fingerprint_ignores_check_and_trace_only() {
         let base = HloOptions::default();
         let mut same = base.clone();
-        same.jobs = 16;
         same.check = CheckLevel::Strict;
         same.trace = TraceLevel::Decisions;
         assert_eq!(base.fingerprint(), same.fingerprint());
@@ -1562,7 +1515,7 @@ mod tests {
 
         // Rebuild only the partition containing module b's functions and
         // splice the others from the finished build. The result must be
-        // byte-identical at every job count.
+        // byte-identical.
         let target = p0.find_func("b", "b_main").unwrap();
         let rebuilt = out
             .log
@@ -1570,45 +1523,38 @@ mod tests {
             .iter()
             .position(|part| part.contains(&target))
             .unwrap();
-        let full_text = hlo_ir::program_to_text(&full);
-        for jobs in [1usize, 4, 8] {
-            let plan: Vec<PartitionAction> = (0..nparts)
-                .map(|pi| {
-                    if pi == rebuilt {
-                        PartitionAction::Rebuild
-                    } else {
-                        PartitionAction::Reuse(extract_partition(&full, &out.log, pi))
-                    }
-                })
-                .collect();
-            let mut inc = p0.clone();
-            let inc_opts = HloOptions {
-                jobs,
-                ..opts.clone()
-            };
-            let mut tracer = Tracer::new(TraceLevel::Spans);
-            let out2 = optimize_partial(&mut inc, None, &inc_opts, Some(&plan), &mut tracer);
-            assert_eq!(
-                full_text,
-                hlo_ir::program_to_text(&inc),
-                "incremental output diverged at jobs={jobs}"
-            );
-            assert_eq!(
-                out2.log.rebuilt,
-                (0..nparts).map(|pi| pi == rebuilt).collect::<Vec<_>>(),
-                "only the planned partition rebuilds"
-            );
-            // A splice gets its span too, but runs no pass.
-            let tree = tracer.span_tree_text();
-            assert!(
-                pass_owners(&tracer)
-                    .iter()
-                    .all(|o| *o == format!("partition:{rebuilt}")),
-                "{tree}"
-            );
-            assert_eq!(tree.matches("partition:").count(), nparts, "{tree}");
-            hlo_ir::verify_program(&inc).unwrap();
-        }
+        let plan: Vec<PartitionAction> = (0..nparts)
+            .map(|pi| {
+                if pi == rebuilt {
+                    PartitionAction::Rebuild
+                } else {
+                    PartitionAction::Reuse(extract_partition(&full, &out.log, pi))
+                }
+            })
+            .collect();
+        let mut inc = p0.clone();
+        let mut tracer = Tracer::new(TraceLevel::Spans);
+        let out2 = optimize_partial(&mut inc, None, &opts, Some(&plan), &mut tracer);
+        assert_eq!(
+            hlo_ir::program_to_text(&full),
+            hlo_ir::program_to_text(&inc),
+            "incremental output diverged"
+        );
+        assert_eq!(
+            out2.log.rebuilt,
+            (0..nparts).map(|pi| pi == rebuilt).collect::<Vec<_>>(),
+            "only the planned partition rebuilds"
+        );
+        // A splice gets its span too, but runs no pass.
+        let tree = tracer.span_tree_text();
+        assert!(
+            pass_owners(&tracer)
+                .iter()
+                .all(|o| *o == format!("partition:{rebuilt}")),
+            "{tree}"
+        );
+        assert_eq!(tree.matches("partition:").count(), nparts, "{tree}");
+        hlo_ir::verify_program(&inc).unwrap();
     }
 
     #[test]
@@ -1673,27 +1619,18 @@ mod tests {
     }
 
     #[test]
-    fn small_batch_partitions_emit_decisions_in_partition_order() {
-        // Three partitions at jobs=8 is below the pool's two-items-per-
-        // worker floor, so planning falls back to the inline path; the
-        // decision stream (the `--explain` output) must still come out in
-        // partition order, identical to jobs=1.
+    fn partition_decisions_are_identical_across_runs() {
+        // Three partitions plan one after another; the decision stream
+        // (the `--explain` output) must come out the same on every run.
         let p0 = hlo_frontc::compile(&three_partition_modules()).unwrap();
         let mut reports = Vec::new();
-        for jobs in [1usize, 8] {
+        for _ in 0..2 {
             let mut p = p0.clone();
-            let opts = HloOptions {
-                jobs,
-                ..module_opts()
-            };
             let mut tracer = Tracer::new(TraceLevel::Decisions);
-            optimize_traced(&mut p, None, &opts, &mut tracer);
+            optimize_traced(&mut p, None, &module_opts(), &mut tracer);
             reports.push((hlo_ir::program_to_text(&p), tracer.decision_report(None)));
         }
-        assert_eq!(
-            reports[0].0, reports[1].0,
-            "program must not vary with jobs"
-        );
+        assert_eq!(reports[0].0, reports[1].0, "program must not vary by run");
         assert!(
             reports[0].1.contains("verdict=performed"),
             "expected decisions:\n{}",
@@ -1701,28 +1638,21 @@ mod tests {
         );
         assert_eq!(
             reports[0].1, reports[1].1,
-            "decision order must not vary with jobs"
+            "decision order must not vary by run"
         );
     }
 
     #[test]
-    fn strict_checking_is_deterministic_across_jobs() {
+    fn strict_checking_is_deterministic_across_runs() {
         let p0 = hlo_frontc::compile(&[("interp", INTERP_SRC)]).unwrap();
-        let opts1 = HloOptions {
+        let opts = HloOptions {
             check: CheckLevel::Strict,
             ..Default::default()
         };
         let mut a = p0.clone();
-        let ra = optimize(&mut a, None, &opts1);
+        let ra = optimize(&mut a, None, &opts);
         let mut b = p0.clone();
-        let rb = optimize(
-            &mut b,
-            None,
-            &HloOptions {
-                jobs: 4,
-                ..opts1.clone()
-            },
-        );
+        let rb = optimize(&mut b, None, &opts);
         assert_eq!(hlo_ir::program_to_text(&a), hlo_ir::program_to_text(&b));
         assert_eq!(ra.diagnostics, rb.diagnostics);
         assert_eq!(ra.checks_run, rb.checks_run);
@@ -1737,7 +1667,7 @@ mod tests {
         let mut tracer = Tracer::disabled();
         let mut round = |p: &mut Program, cache: &mut CallGraphCache| {
             let before = ck.checks_run();
-            cleanup_round(p, &mut ck, cache, 1, &mut tracer);
+            cleanup_round(p, &mut ck, cache, &mut tracer);
             ck.checks_run() - before
         };
         let bodies: Vec<FuncId> = p
@@ -1777,7 +1707,6 @@ mod tests {
             &mut p,
             &mut Checker::disabled(),
             &mut cache,
-            1,
             &mut Tracer::disabled(),
         );
     }

@@ -9,8 +9,8 @@
 //!
 //! The switch is thread-local and **off by default**, so production code
 //! paths are unaffected; arming it only perturbs optimizations performed
-//! on the arming thread (the inline/clone apply stages run sequentially on
-//! the calling thread, so `--jobs` does not leak faults across tests).
+//! on the arming thread (the optimizer runs entirely on its calling
+//! thread, so a fault armed in one test never leaks into another).
 //!
 //! [`inline_call`]: crate::inline_call
 

@@ -1,22 +1,19 @@
-//! The inlining pass (paper §2.4, Figure 4), partitioned for the
-//! parallel pipeline.
+//! The inlining pass (paper §2.4, Figure 4), partitioned.
 //!
 //! Inlining never crosses a weakly connected component of the direct-call
 //! graph, so the pass splits the program into call-graph *partitions*
 //! (independent condensation subtrees), hands each a proportional share of
-//! the stage-budget headroom, and plans them concurrently. Planning is
-//! read-only; the accepted schedules are then performed sequentially in
-//! partition order and the budget is charged once at the barrier, so
-//! [`hlo_ir::Program::compile_cost`] accounting — and therefore every
-//! decision — is byte-identical at any worker count. A program whose live
-//! code is one component (the common case: everything reachable from
-//! `main`) forms a single partition that receives the full headroom, which
-//! reproduces the unpartitioned algorithm exactly.
+//! the stage-budget headroom, and plans them one after another in
+//! partition order. Planning is read-only; the budget is charged once with
+//! every plan's cost, and the accepted schedules are then performed in
+//! partition order. A program whose live code is one component (the
+//! common case: everything reachable from `main`) forms a single partition
+//! that receives the full headroom, which reproduces the unpartitioned
+//! algorithm exactly.
 
 use crate::budget::Budget;
 use crate::driver::HloOptions;
 use crate::legality::inline_restriction;
-use crate::par::{effective_jobs, par_funcs_mut, par_map};
 use crate::transform::{inline_call, scale_profile};
 use hlo_analysis::{CallGraphCache, CallSiteRef};
 use hlo_ir::{FuncId, Program};
@@ -45,12 +42,8 @@ pub struct InlinePassResult {
     pub deferred: u64,
     /// Wall-clock time of screening + per-partition planning.
     pub plan_wall: Duration,
-    /// Cumulative planning work summed over workers.
-    pub plan_work: Duration,
     /// Wall-clock time of splicing + caller re-optimization.
     pub apply_wall: Duration,
-    /// Cumulative apply work summed over workers.
-    pub apply_work: Duration,
 }
 
 /// Penalty multiplier for sites colder than their caller's entry (the
@@ -90,9 +83,6 @@ struct PartitionPlan {
     delta: u64,
     deferred: u64,
     ops: u64,
-    /// Decision provenance, built on the (read-only) planning workers and
-    /// absorbed into the tracer sequentially at the barrier.
-    events: Vec<DecisionEvent>,
 }
 
 /// Runs one inlining pass under the stage budget.
@@ -102,10 +92,10 @@ struct PartitionPlan {
 /// then accepted greedily against the partition's budget share: each
 /// acceptance is costed against a *schedule* kept in bottom-up call-graph
 /// order so that cascaded inlines (B into A after C into B) are charged at
-/// B's grown size, exactly as Figure 4 prescribes. Partition planning runs
-/// on the worker pool unless the Figure 8 operation cap is active (a
-/// global sequential counter). Accepted inlines are then performed in
-/// partition order, schedule order within each.
+/// B's grown size, exactly as Figure 4 prescribes. Partitions plan in
+/// partition order, drawing down the one Figure 8 operation cap in turn.
+/// Accepted inlines are then performed in partition order, schedule order
+/// within each.
 pub fn inline_pass(
     p: &mut Program,
     budget: &mut Budget,
@@ -116,7 +106,6 @@ pub fn inline_pass(
     tracer: &mut Tracer,
 ) -> InlinePassResult {
     let mut result = InlinePassResult::default();
-    let jobs = effective_jobs(opts.jobs);
     let explain = tracer.decisions_enabled();
     let plan_start = Instant::now();
 
@@ -237,73 +226,36 @@ pub fn inline_pass(
     for t in &mut tasks {
         t.share = ((headroom as u128 * t.cost as u128) / total_cost.max(1) as u128) as u64;
     }
-    let screen_elapsed = plan_start.elapsed();
 
     // Plan: greedy selection with cascaded cost over a bottom-up schedule
-    // (Figure 4 "select inline sites"), one planner per partition.
-    let par_start = Instant::now();
-    let (mut plans, par_work): (Vec<PartitionPlan>, Duration) = match ops_left {
-        Some(left) => {
-            // The Figure 8 operation cap is a single global counter, so
-            // partitions plan sequentially in partition order, sharing it.
-            let mut remaining = *left;
-            let mut plans = Vec::with_capacity(tasks.len());
-            for t in &tasks {
-                let plan = plan_partition(
-                    p,
-                    &scc_rank,
-                    &t.candidates,
-                    t.share,
-                    Some(remaining),
-                    pass as u32,
-                    explain,
-                );
-                remaining -= plan.ops.min(remaining);
-                plans.push(plan);
-            }
-            *ops_left = Some(remaining);
-            (plans, par_start.elapsed())
-        }
-        None => {
-            let out = par_map(jobs, &tasks, |_, t| {
-                plan_partition(
-                    p,
-                    &scc_rank,
-                    &t.candidates,
-                    t.share,
-                    None,
-                    pass as u32,
-                    explain,
-                )
-            });
-            (out.results, out.work)
-        }
-    };
-    result.plan_wall = screen_elapsed + par_start.elapsed();
-    result.plan_work = screen_elapsed + par_work;
-
-    // Barrier: reconcile the partition plans against the one budget, and
-    // absorb the workers' decision provenance in partition order (the same
-    // order a sequential run would emit it).
+    // (Figure 4 "select inline sites"), one partition at a time. Each
+    // partition plans against its own share; the Figure 8 operation cap
+    // is one counter the partitions draw down in turn.
+    let mut plans: Vec<PartitionPlan> = Vec::with_capacity(tasks.len());
     let mut total_delta = 0u64;
-    for plan in &plans {
+    for t in &tasks {
+        let plan = plan_partition(
+            p,
+            &scc_rank,
+            &t.candidates,
+            t.share,
+            *ops_left,
+            pass as u32,
+            tracer,
+        );
+        if let Some(left) = ops_left {
+            *left -= plan.ops.min(*left);
+        }
         total_delta += plan.delta;
         result.deferred += plan.deferred;
+        plans.push(plan);
     }
     budget.charge(total_delta);
-    if explain {
-        for plan in &mut plans {
-            for e in plan.events.drain(..) {
-                tracer.decision(e);
-            }
-        }
-    }
+    result.plan_wall = plan_start.elapsed();
 
     // Perform in partition order, bottom-up within each (Figure 4
     // "perform inlines"), fixing the coordinates of later sites that
-    // shared the split block. Splicing is sequential — it appends no
-    // functions but rewrites caller bodies — and stays deterministic
-    // because partition order is.
+    // shared the split block.
     let apply_start = Instant::now();
     let mut touched: Vec<FuncId> = Vec::new();
     for plan in plans {
@@ -338,30 +290,27 @@ pub fn inline_pass(
     }
     touched.sort_unstable();
     touched.dedup();
-    let splice_elapsed = apply_start.elapsed();
 
-    // Re-optimize the callers that grew (Figure 4 "optimize inlines") on
-    // the worker pool. Each touched caller's cached call-graph scan is
-    // stale now, and the ones the optimizer converged on are settled, so
-    // the pass's cleanup round skips them. The budget keeps the charged
-    // estimate; the driver recalibrates it from measured sizes once the
-    // pass's cleanup is done.
-    let reopt_start = Instant::now();
-    let out = par_funcs_mut(jobs, p, &touched, |_, f| hlo_opt::optimize_function(f));
-    for (&f, stats) in touched.iter().zip(&out.results) {
+    // Re-optimize the callers that grew (Figure 4 "optimize inlines").
+    // Each touched caller's cached call-graph scan is stale now, and the
+    // ones the optimizer converged on are settled, so the pass's cleanup
+    // round skips them. The budget keeps the charged estimate; the driver
+    // recalibrates it from measured sizes once the pass's cleanup is done.
+    for f in touched {
+        let stats = hlo_opt::optimize_function(p.func_mut(f));
         cache.invalidate(f);
         if stats.converged {
             cache.settle(f);
         }
     }
-    result.apply_wall = splice_elapsed + reopt_start.elapsed();
-    result.apply_work = splice_elapsed + out.work;
+    result.apply_wall = apply_start.elapsed();
 
     result
 }
 
 /// Greedy planner for one partition: rank by merit, accept while the
-/// cascaded schedule delta stays within the partition's budget share.
+/// cascaded schedule delta stays within the partition's budget share and
+/// `ops_cap` (the Figure 8 operations left) allows.
 fn plan_partition(
     p: &Program,
     scc_rank: &[usize],
@@ -369,8 +318,9 @@ fn plan_partition(
     share: u64,
     ops_cap: Option<u64>,
     pass: u32,
-    explain: bool,
+    tracer: &mut Tracer,
 ) -> PartitionPlan {
+    let explain = tracer.decisions_enabled();
     let mut ranked: Vec<Candidate> = candidates.to_vec();
     ranked.sort_by(|a, b| {
         b.merit
@@ -382,7 +332,6 @@ fn plan_partition(
         delta: 0,
         deferred: 0,
         ops: 0,
-        events: Vec::new(),
     };
     for cand in ranked {
         if let Some(cap) = ops_cap {
@@ -400,7 +349,7 @@ fn plan_partition(
         if explain {
             // Budget state is the partition's remaining headroom share;
             // the cost is the cascaded delta this one decision adds.
-            plan.events.push(DecisionEvent {
+            tracer.decision(DecisionEvent {
                 pass,
                 kind: DecisionKind::Inline,
                 site: site_str(p, &cand.site),
@@ -676,8 +625,8 @@ mod tests {
     #[test]
     fn disjoint_islands_plan_independently_and_identically() {
         // Two call islands (main's and an address-escaped helper chain
-        // that stays reachable). The pass must inline in both, and the
-        // result must not depend on the job count.
+        // that stays reachable). The pass must inline in both, and two
+        // runs must produce the same result.
         let src = &[(
             "m",
             r#"
@@ -692,20 +641,16 @@ mod tests {
             p
         };
         let mut outs: Vec<String> = Vec::new();
-        for jobs in [1usize, 4] {
+        for _ in 0..2 {
             let mut p = p0.clone();
             let c0 = p.compile_cost();
             let mut budget = Budget::new(c0, 1000, &[1.0]);
             let mut cache = CallGraphCache::new();
-            let opts = HloOptions {
-                jobs,
-                ..Default::default()
-            };
             let r = inline_pass(
                 &mut p,
                 &mut budget,
                 0,
-                &opts,
+                &HloOptions::default(),
                 &mut None,
                 &mut cache,
                 &mut Tracer::disabled(),

@@ -51,7 +51,6 @@ pub mod fault;
 mod inliner;
 mod legality;
 mod outline;
-pub mod par;
 mod report;
 mod transform;
 

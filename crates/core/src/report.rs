@@ -1,10 +1,7 @@
 //! Optimization reports — the raw material of the paper's Table 1.
 
-/// Wall-clock vs cumulative-work time of one pipeline stage. For stages
-/// that fan out over the worker pool, `work_us / wall_us` approximates the
-/// effective parallelism (`≈ 1` at `jobs = 1`, `≈ N` on an
-/// embarrassingly-parallel stage at `jobs = N`); sequential stages report
-/// `work_us == wall_us`.
+/// Wall-clock vs cumulative-work time of one pipeline stage. Every stage
+/// runs on one thread, so the optimizer reports `work_us == wall_us`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StageTiming {
     /// Stage name (`annotate`, `cleanup`, `inline.plan`, …). Per-pass
@@ -12,7 +9,8 @@ pub struct StageTiming {
     pub stage: String,
     /// Elapsed wall-clock time, microseconds.
     pub wall_us: u64,
-    /// Cumulative busy time summed over workers, microseconds.
+    /// Cumulative busy time, microseconds (equal to `wall_us` for the
+    /// optimizer's own stages).
     pub work_us: u64,
 }
 
@@ -82,18 +80,12 @@ pub struct HloReport {
     /// cleanup round optimizes (functions settled at the optimizer's
     /// fixpoint are skipped, so they add none).
     pub checks_run: u32,
-    /// Time spent in verify-each batteries, in microseconds. Under
-    /// parallel cleanup this is cumulative work across workers, not wall
-    /// time.
+    /// Time spent in verify-each batteries, in microseconds.
     pub lint_time_us: u64,
     /// Functions annotated from the training-run profile database (0 for
     /// static-heuristic builds).
     pub profile_annotations: u64,
-    /// The worker count the run actually used (after resolving
-    /// `HloOptions::jobs == 0` to the hardware parallelism).
-    pub jobs: u64,
-    /// Per-stage wall-clock vs cumulative-work timings; the parallel
-    /// speedup is `work_us / wall_us` per stage.
+    /// Per-stage wall-clock vs cumulative-work timings.
     pub stage_timings: Vec<StageTiming>,
     /// Wire-form keys [`HloReport::from_text`] did not recognize and
     /// skipped. Never serialized: a fresh report always has 0, and a
@@ -154,7 +146,6 @@ impl HloReport {
         n("checks_run", self.checks_run as u64);
         n("lint_time_us", self.lint_time_us);
         n("profile_annotations", self.profile_annotations);
-        n("jobs", self.jobs);
         n("diagnostics_elided", self.diagnostics.len() as u64);
         for p in &self.passes {
             let _ = writeln!(
@@ -217,7 +208,6 @@ impl HloReport {
                 "checks_run" => r.checks_run = num(val)? as u32,
                 "lint_time_us" => r.lint_time_us = num(val)?,
                 "profile_annotations" => r.profile_annotations = num(val)?,
-                "jobs" => r.jobs = num(val)?,
                 "diagnostics_elided" => {}
                 "pass" => {
                     let f: Vec<u64> = val.split_whitespace().map(num).collect::<Result<_, _>>()?;
@@ -276,22 +266,6 @@ impl std::fmt::Display for HloReport {
             "cost {} -> {} (budget {})",
             self.initial_cost, self.final_cost, self.budget_limit
         )?;
-        if self.jobs > 1 {
-            let wall: u64 = self.stage_timings.iter().map(|s| s.wall_us).sum();
-            let work: u64 = self.stage_timings.iter().map(|s| s.work_us).sum();
-            write!(
-                f,
-                "\njobs {}: {} us wall, {} us work ({:.2}x effective)",
-                self.jobs,
-                wall,
-                work,
-                if wall > 0 {
-                    work as f64 / wall as f64
-                } else {
-                    1.0
-                }
-            )?;
-        }
         if self.checks_run > 0 {
             write!(
                 f,
@@ -336,7 +310,6 @@ mod tests {
             checks_run: 4,
             lint_time_us: 77,
             profile_annotations: 6,
-            jobs: 2,
             passes: vec![PassReport {
                 pass: 0,
                 inlines: 12,

@@ -6,8 +6,8 @@
 //! random well-typed MinC programs (and raw IR programs), runs each one
 //! on the VM before and after optimization under a whole matrix of
 //! configurations, and treats any observable difference — output, return
-//! value, extern-call trace, a panic, a verifier rejection, nondeterminism
-//! across `--jobs` — as a bug. Failures are shrunk to small reproducers
+//! value, extern-call trace, a panic, a verifier rejection, output that
+//! changes when the same optimization runs again — as a bug. Failures are shrunk to small reproducers
 //! and written to a corpus for permanent regression testing.
 //!
 //! The pieces:

@@ -14,8 +14,8 @@
 //!   pipeline stage ([`FindingKind::CheckRegression`]);
 //! * different observable behaviour, including a trap the baseline did
 //!   not have ([`FindingKind::BehaviorDivergence`]);
-//! * output that is not byte-identical across `--jobs` values
-//!   ([`FindingKind::JobsNondeterminism`]);
+//! * output that is not byte-identical when the same optimization runs
+//!   again ([`FindingKind::Nondeterminism`]);
 //! * the two VM execution tiers disagreeing about what a program does
 //!   ([`FindingKind::TierDivergence`]) — every execution the oracle
 //!   performs (baseline and optimized) runs on both the tree-walker and
@@ -72,8 +72,8 @@ pub enum FindingKind {
     CheckRegression,
     /// The optimized program behaved differently from the baseline.
     BehaviorDivergence,
-    /// Output differed between `--jobs` values.
-    JobsNondeterminism,
+    /// A second run of the same optimization produced different output.
+    Nondeterminism,
     /// The `hlo-serve` daemon returned different IR than an in-process
     /// optimize of the same request (cold), or its warm cached response
     /// was not byte-identical to the cold one.
@@ -96,7 +96,7 @@ impl std::fmt::Display for FindingKind {
             FindingKind::VerifierRejected => "verifier-rejected",
             FindingKind::CheckRegression => "check-regression",
             FindingKind::BehaviorDivergence => "behavior-divergence",
-            FindingKind::JobsNondeterminism => "jobs-nondeterminism",
+            FindingKind::Nondeterminism => "nondeterminism",
             FindingKind::DaemonMismatch => "daemon-mismatch",
             FindingKind::TierDivergence => "tier-divergence",
             FindingKind::IncrementalDivergence => "incremental-divergence",
@@ -136,7 +136,7 @@ pub enum CaseOutcome {
 pub struct MatrixEntry {
     /// Short stable label (appears in reproducer headers).
     pub label: String,
-    /// The options under test (`jobs` is always 1 here).
+    /// The options under test.
     pub opts: HloOptions,
     /// Synthesize a profile from a baseline VM trace and optimize with it.
     pub with_profile: bool,
@@ -146,9 +146,9 @@ pub struct MatrixEntry {
     /// daemon `profile: server` rebuild would use. Implies
     /// `with_profile`.
     pub continuous_pgo: bool,
-    /// Re-run the same optimization at `jobs = N` and require the result
-    /// to be byte-identical.
-    pub probe_jobs: bool,
+    /// Re-run the same optimization and require the result to be
+    /// byte-identical.
+    pub probe_rerun: bool,
 }
 
 /// Oracle configuration: program arguments, fuel, and the config matrix.
@@ -158,8 +158,6 @@ pub struct OracleConfig {
     pub args: Vec<i64>,
     /// Baseline fuel (optimized runs get [`FUEL_HEADROOM`]× more).
     pub fuel: u64,
-    /// Worker count used by jobs-determinism probes.
-    pub probe_jobs: usize,
     /// Tier used for profile synthesis (`ProfileDb::from_vm_trace`).
     /// Executions always run on *both* tiers regardless — this only
     /// selects which engine feeds PGO, so planted-fault sensitivity can
@@ -169,13 +167,13 @@ pub struct OracleConfig {
     pub entries: Vec<MatrixEntry>,
 }
 
-fn entry(label: &str, opts: HloOptions, with_profile: bool, probe_jobs: bool) -> MatrixEntry {
+fn entry(label: &str, opts: HloOptions, with_profile: bool, probe_rerun: bool) -> MatrixEntry {
     MatrixEntry {
         label: label.to_string(),
         opts,
         with_profile,
         continuous_pgo: false,
-        probe_jobs,
+        probe_rerun,
     }
 }
 
@@ -183,7 +181,7 @@ impl OracleConfig {
     /// The full matrix the fuzz gate runs: budgets {0, 100, 400} crossed
     /// with both scopes, plus profile-guided, strict-checked, outlining,
     /// summary-analysis-disabled (`noipa`), and continuous-PGO
-    /// (store-aggregated profile) configurations, with jobs-determinism
+    /// (store-aggregated profile) configurations, with re-run determinism
     /// probes on the aggressive entries.
     pub fn full() -> Self {
         let base = HloOptions::default(); // CrossModule, budget 100
@@ -195,7 +193,6 @@ impl OracleConfig {
         OracleConfig {
             args: vec![5],
             fuel: ORACLE_FUEL,
-            probe_jobs: 4,
             tier: Tier::Tree,
             entries: vec![
                 entry("b0-module", with(Scope::WithinModule, 0), false, false),
@@ -263,7 +260,7 @@ impl OracleConfig {
                     opts: with(Scope::CrossModule, 100),
                     with_profile: true,
                     continuous_pgo: true,
-                    probe_jobs: false,
+                    probe_rerun: false,
                 },
             ],
         }
@@ -541,28 +538,21 @@ pub fn check_program_with(
             }
         }
 
-        if entry.probe_jobs {
-            let mut parallel = p0.clone();
-            let opts_n = HloOptions {
-                jobs: oc.probe_jobs,
-                ..entry.opts.clone()
-            };
+        if entry.probe_rerun {
+            let mut again = p0.clone();
             let r = catch_unwind(AssertUnwindSafe(|| {
-                optimize(&mut parallel, profile.as_ref(), &opts_n)
+                optimize(&mut again, profile.as_ref(), &entry.opts)
             }));
             if r.is_err() {
                 return fail(
                     FindingKind::OptimizerPanic,
-                    format!("panicked only at jobs={}", oc.probe_jobs),
+                    "panicked only on the re-run".to_string(),
                 );
             }
-            if program_to_text(&parallel) != program_to_text(&optimized) {
+            if program_to_text(&again) != program_to_text(&optimized) {
                 return fail(
-                    FindingKind::JobsNondeterminism,
-                    format!(
-                        "jobs=1 and jobs={} produced different programs",
-                        oc.probe_jobs
-                    ),
+                    FindingKind::Nondeterminism,
+                    "two runs of the same options produced different programs".to_string(),
                 );
             }
         }

@@ -30,9 +30,8 @@ fn same_seed_gives_byte_identical_ir() {
 }
 
 #[test]
-fn verdicts_are_reproducible_and_jobs_independent() {
-    // The oracle's verdict for a case must not depend on when it runs or
-    // on the worker count its jobs-probe uses.
+fn verdicts_are_reproducible() {
+    // The oracle's verdict for a case must not depend on when it runs.
     for seed in 0..6u64 {
         let sources = gen::generate_sources(seed, &GenConfig::default());
         let quick = OracleConfig::quick();
@@ -42,17 +41,6 @@ fn verdicts_are_reproducible_and_jobs_independent() {
             verdict_tag(&v1),
             verdict_tag(&v2),
             "seed {seed} verdict flapped"
-        );
-
-        let many_jobs = OracleConfig {
-            probe_jobs: 8,
-            ..OracleConfig::quick()
-        };
-        let v8 = oracle::check_sources(&sources, &many_jobs);
-        assert_eq!(
-            verdict_tag(&v1),
-            verdict_tag(&v8),
-            "seed {seed} verdict changed with probe_jobs"
         );
     }
 }

@@ -26,7 +26,7 @@
 //!   *effects* re-keys its whole caller cone).
 //!
 //! The analysis is sequential and allocation-order deterministic, so its
-//! output is byte-identical at any `--jobs` value by construction; the
+//! output is byte-identical on every run by construction; the
 //! summaries serialize to a canonical text form ([`Summaries::to_text`] /
 //! [`Summaries::from_text`]) that is diffable and fingerprintable.
 //!

@@ -144,41 +144,6 @@ impl Checker {
         self.elapsed += start.elapsed();
     }
 
-    /// A child checker for one shard of a parallel stage: same level, a
-    /// snapshot of the parent's already-seen keys, and no findings yet.
-    /// Each worker drives its shard's sub-pass boundaries through the
-    /// child; the parent then [`Checker::absorb`]s the children *in
-    /// deterministic shard order*, which reproduces the sequential run's
-    /// diagnostics exactly (per-function batteries only emit findings
-    /// keyed to that function, and cross-shard duplicates are resolved by
-    /// absorb order, same as sequential discovery order).
-    pub fn fork(&self) -> Checker {
-        Checker {
-            level: self.level,
-            seen: if self.is_enabled() {
-                self.seen.clone()
-            } else {
-                HashSet::new()
-            },
-            diags: Vec::new(),
-            elapsed: Duration::ZERO,
-            checks_run: 0,
-        }
-    }
-
-    /// Merges a [`Checker::fork`]ed child back: its new findings are
-    /// appended (parent-side dedup still applies), its battery time counts
-    /// toward cumulative work, and its boundary count is added.
-    pub fn absorb(&mut self, child: Checker) {
-        for d in child.diags {
-            if self.seen.insert(d.key()) {
-                self.diags.push(d);
-            }
-        }
-        self.elapsed += child.elapsed;
-        self.checks_run += child.checks_run;
-    }
-
     /// All findings recorded so far, in discovery order.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diags
@@ -211,9 +176,7 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hlo_ir::{
-        BinOp, FuncId, FunctionBuilder, Inst, Linkage, Operand, ProgramBuilder, Reg, Type,
-    };
+    use hlo_ir::{BinOp, FunctionBuilder, Inst, Linkage, Operand, ProgramBuilder, Reg, Type};
 
     fn clean_program() -> Program {
         let mut pb = ProgramBuilder::new();
@@ -287,84 +250,6 @@ mod tests {
         ck.check(&p, "anything");
         assert_eq!(ck.checks_run(), 0);
         assert!(ck.diagnostics().is_empty());
-    }
-
-    #[test]
-    fn fork_absorb_matches_sequential_checking() {
-        // Two functions, each given a distinct defect; checking them via
-        // two forked children absorbed in order must equal checking both
-        // sequentially through one checker.
-        let make_broken_pair = || {
-            let mut pb = ProgramBuilder::new();
-            let m = pb.add_module("m");
-            for name in ["f", "g"] {
-                let mut f = FunctionBuilder::new(name, m, 0);
-                let e = f.entry_block();
-                let r = f.bin(e, BinOp::Add, Operand::imm(1), Operand::imm(2));
-                f.ret(e, Some(Operand::Reg(r)));
-                pb.add_function(f.finish(Linkage::Public, Type::I64));
-            }
-            let mut p = pb.finish(Some(FuncId(0)));
-            for i in 0..2 {
-                let bad = Reg(p.funcs[i].num_regs);
-                p.funcs[i].num_regs += 1;
-                if let Inst::Bin { a, .. } = &mut p.funcs[i].blocks[0].insts[0] {
-                    *a = Operand::Reg(bad);
-                }
-            }
-            p
-        };
-        let p = make_broken_pair();
-
-        let mut seq = Checker::new(CheckLevel::Strict);
-        for f in &p.funcs {
-            seq.check_function(f, "cleanup");
-        }
-
-        let mut par = Checker::new(CheckLevel::Strict);
-        let children: Vec<Checker> = p
-            .funcs
-            .iter()
-            .map(|f| {
-                let mut child = par.fork();
-                child.check_function(f, "cleanup");
-                child
-            })
-            .collect();
-        for child in children {
-            par.absorb(child);
-        }
-
-        let seq_msgs: Vec<_> = seq.diagnostics().iter().map(|d| d.key()).collect();
-        let par_msgs: Vec<_> = par.diagnostics().iter().map(|d| d.key()).collect();
-        assert_eq!(seq_msgs, par_msgs);
-        assert_eq!(seq.checks_run(), par.checks_run());
-        assert_eq!(par.introduced().count(), 2);
-    }
-
-    #[test]
-    fn absorb_deduplicates_across_children() {
-        let p = clean_program();
-        let mut parent = Checker::new(CheckLevel::Strict);
-        let mut broken = p;
-        let bad = Reg(broken.funcs[0].num_regs);
-        broken.funcs[0].num_regs += 1;
-        if let Inst::Bin { a, .. } = &mut broken.funcs[0].blocks[0].insts[0] {
-            *a = Operand::Reg(bad);
-        }
-        // Both children see the same defect; only the first absorb lands.
-        let mut c1 = parent.fork();
-        c1.check_function(&broken.funcs[0], "shard0");
-        let mut c2 = parent.fork();
-        c2.check_function(&broken.funcs[0], "shard1");
-        parent.absorb(c1);
-        parent.absorb(c2);
-        assert_eq!(parent.diagnostics().len(), 1);
-        assert_eq!(
-            parent.diagnostics()[0].pass_origin.as_deref(),
-            Some("shard0")
-        );
-        assert_eq!(parent.checks_run(), 2);
     }
 
     #[test]

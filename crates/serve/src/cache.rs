@@ -490,21 +490,20 @@ mod tests {
     }
 
     #[test]
-    fn jobs_and_check_do_not_change_keys() {
+    fn check_does_not_change_keys() {
         let p = compile(TWO_CHAINS);
         let base = key_of(&p);
-        let parallel = request_key(
+        let checked = request_key(
             &p,
             &HloOptions {
-                jobs: 8,
                 check: hlo::CheckLevel::Strict,
                 ..Default::default()
             },
             "",
             &mut CallGraphCache::new(),
         );
-        assert_eq!(base.program, parallel.program);
-        assert_eq!(base.funcs, parallel.funcs);
+        assert_eq!(base.program, checked.program);
+        assert_eq!(base.funcs, checked.funcs);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! pool. A full queue answers [`wire::Kind::Busy`] immediately instead of
 //! buffering without bound; each request's deadline is checked when a
 //! worker picks it up, so a queue stuffed by a slow burst sheds expired
-//! work instead of optimizing it late. Workers run the ordinary
-//! [`hlo::optimize`] pipeline, whose per-function stages fan out over the
-//! `hlo::par` pool at the request's `jobs` setting — or, on a miss of a
+//! work instead of optimizing it late. Each worker runs the ordinary
+//! [`hlo::optimize`] pipeline on its own thread — or, on a miss of a
 //! partition-cacheable request, [`hlo::optimize_partial`] with a plan
 //! that splices cached partition bodies (see [`crate::incremental`]).
 //!
@@ -23,7 +22,6 @@ use crate::{
     OptimizeRequest, ProfilePushOutcome, ProfilePushRequest, ProfileSpec, SourceKind,
     TraceFetchReply,
 };
-use hlo::par::effective_jobs;
 use hlo::{
     chrome_trace_json, parse_exposition, CallGraphCache, Event, EventLevel, EventLog, FlightRecord,
     FlightRecorder, HloOptions, MetricsRegistry, PartitionAction, TraceLevel, Tracer,
@@ -40,6 +38,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Resolves a requested worker count: `0` means "use all available
+/// hardware parallelism", anything else is taken literally.
+fn effective_jobs(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        requested
+    }
+}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -545,7 +555,7 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
     // requests record at `Decisions` so the stored report carries full
     // per-site provenance. The tracer never reads a clock — every
     // duration below is measured here and handed to it, which is what
-    // keeps trace content byte-identical across `--jobs`.
+    // keeps trace content byte-identical across runs and worker counts.
     let traced = !trace_id.is_empty();
     let mut tracer = if traced {
         Tracer::new(TraceLevel::Decisions)
@@ -1275,6 +1285,12 @@ pub fn banner(addr: SocketAddr, cfg: &ServeConfig) {
 mod tests {
     use super::*;
     use crate::ServeStats;
+
+    #[test]
+    fn effective_jobs_zero_means_hardware() {
+        assert!(effective_jobs(0) >= 1);
+        assert_eq!(effective_jobs(3), 3);
+    }
 
     #[test]
     fn stats_text_renders_the_exposition_through_the_table() {

@@ -228,14 +228,13 @@ fn traced_content_is_identical_across_worker_counts() {
     // The determinism gate, extended to observability: the same requests
     // through a 1-worker and a 4-worker daemon must produce byte-identical
     // span trees, decision reports, cache outcomes, and (after timestamp
-    // normalization) event logs. Two daemons because `--jobs` is outside
-    // the cache fingerprint — one daemon would answer the second run from
-    // its cache.
-    let run = |jobs: usize, log: &TempLog| {
+    // normalization) event logs. One client sends one request at a time,
+    // so the event order does not depend on which worker takes a request.
+    let run = |workers: usize, log: &TempLog| {
         let server = Server::spawn(
             "127.0.0.1:0",
             ServeConfig {
-                workers: 1, // one worker: a deterministic event order
+                workers,
                 event_log_path: Some(log.0.clone()),
                 ..ServeConfig::default()
             },
@@ -245,7 +244,6 @@ fn traced_content_is_identical_across_worker_counts() {
         let mut traces = Vec::new();
         for (i, id) in ["00000000000000a1", "00000000000000a2"].iter().enumerate() {
             let mut req = minc_request();
-            req.options.jobs = jobs;
             req.trace_id = Some(id.to_string());
             // Second request is a warm hit; both phases of the cache are
             // exercised under tracing.
@@ -259,8 +257,8 @@ fn traced_content_is_identical_across_worker_counts() {
         (traces, hlo::normalize_log(&text))
     };
 
-    let log1 = TempLog::new("jobs1");
-    let log4 = TempLog::new("jobs4");
+    let log1 = TempLog::new("workers1");
+    let log4 = TempLog::new("workers4");
     let (traces1, events1) = run(1, &log1);
     let (traces4, events4) = run(4, &log4);
 
@@ -268,12 +266,12 @@ fn traced_content_is_identical_across_worker_counts() {
         assert_eq!(
             traced_content(a),
             traced_content(b),
-            "traced content differs between --jobs 1 and --jobs 4"
+            "traced content differs between 1 and 4 workers"
         );
     }
     assert_eq!(
         events1, events4,
-        "normalized event logs differ between --jobs 1 and --jobs 4"
+        "normalized event logs differ between 1 and 4 workers"
     );
 }
 

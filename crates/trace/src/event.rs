@@ -9,7 +9,7 @@
 //! backslashes, and [`Event::parse`] rejects anything the encoder could
 //! not have produced. [`Event::normalized`] strips the time-valued fields
 //! (`ts` and any `*_us`/`*_ms` key), which is what lets the determinism
-//! gate compare event-log *content* across `--jobs` values.
+//! gate compare event-log *content* across runs and daemon worker counts.
 //!
 //! Sinks are deliberately boring: an append-mode file written one
 //! `write + flush` per line (crash-safe — a torn write loses at most the
@@ -201,8 +201,8 @@ impl Event {
     /// The event with measured fields removed: `ts`, and any key ending
     /// in `_us`, `_ms`, or `_bytes` (payload sizes embed rendered wall
     /// times, so they are measured too). Two runs doing the same work
-    /// produce the same normalized events regardless of scheduling or
-    /// `--jobs` — the form the determinism gate compares.
+    /// produce the same normalized events regardless of scheduling — the
+    /// form the determinism gate compares.
     pub fn normalized(&self) -> Event {
         Event {
             level: self.level,

@@ -10,8 +10,8 @@
 //!   *caller-supplied* durations, so the recorded tree is a pure function
 //!   of the work performed and replays deterministically;
 //! * [`MetricsRegistry`] — a lock-sharded registry of counters, gauges and
-//!   fixed-bucket histograms, safe to update from the `par.rs` worker pool
-//!   (all updates commute, so totals are deterministic at any `--jobs`);
+//!   fixed-bucket histograms, safe to update from the daemon's worker
+//!   threads (all updates commute, so totals do not depend on scheduling);
 //! * [`DecisionEvent`] — provenance for every inline/clone/outline/
 //!   pure-call decision: site, callee, verdict, reason code, benefit,
 //!   cost, and budget state, queryable as a sorted text report;
@@ -30,7 +30,7 @@
 //!
 //! The crate is dependency-free (std only) and never reads a clock: every
 //! duration is supplied by the caller, which is what keeps trace *content*
-//! byte-identical across worker counts once timestamps are normalized.
+//! byte-identical across runs once timestamps are normalized.
 
 mod chrome;
 mod decision;
@@ -53,8 +53,7 @@ pub use span::{Span, SpanId, Tracer};
 /// How much the optimizer records into its [`Tracer`].
 ///
 /// The level is a pure observability knob: it never changes the produced
-/// program, so it is normalized out of option fingerprints the same way
-/// `jobs` is.
+/// program, so it is normalized out of option fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
     /// Record only the stage spans the report's timings are built from.

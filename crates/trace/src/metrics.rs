@@ -3,12 +3,12 @@
 //! keeps a [`QuantileSketch`] beside its buckets, so one observation
 //! feeds both the exposed buckets and [`MetricsRegistry::quantile`].
 //!
-//! Updates take `&self` and are safe from the `par.rs` worker pool. Every
-//! update commutes (counters add, histograms add per bucket, gauges are
-//! last-write-wins and reserved for daemon-side occupancy numbers), so
+//! Updates take `&self` and are safe from the daemon's worker threads.
+//! Every update commutes (counters add, histograms add per bucket, gauges
+//! are last-write-wins and reserved for daemon-side occupancy numbers), so
 //! for the optimizer's deterministic counters the exposed text is
-//! byte-identical at any `--jobs` value. The exposition sorts series by
-//! name, which removes the only other ordering freedom.
+//! byte-identical on every run. The exposition sorts series by name,
+//! which removes the only other ordering freedom.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

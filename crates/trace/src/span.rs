@@ -29,8 +29,9 @@ pub struct Span {
     pub start_us: u64,
     /// Caller-supplied wall-clock duration, microseconds.
     pub dur_us: u64,
-    /// Cumulative worker busy time, microseconds (== `dur_us` for
-    /// sequential stages, up to `jobs × dur_us` for parallel ones).
+    /// Cumulative busy time, microseconds: the caller-supplied work of a
+    /// leaf (the optimizer's stages all pass `work == wall`), the sum of
+    /// the children's for a structural span.
     pub work_us: u64,
     /// Whether this is a *stage* span (a timed leaf that contributes to
     /// `HloReport::stage_timings`) rather than a structural grouping span.
@@ -202,7 +203,7 @@ impl Tracer {
 
     /// The span tree with timestamps normalized away: one indented line
     /// per span, in creation order. Two runs of the same work produce the
-    /// same text regardless of `--jobs` or scheduling.
+    /// same text regardless of scheduling.
     pub fn span_tree_text(&self) -> String {
         let mut s = String::new();
         for span in &self.spans {

@@ -4,8 +4,8 @@
 //!
 //! 1. **Clean sweep** — ≥500 generated cases through the full oracle
 //!    matrix. Any finding fails the gate: the optimizer must not
-//!    miscompile, panic, emit unverifiable IR, or be jobs-nondeterministic
-//!    on anything the generators produce.
+//!    miscompile, panic, emit unverifiable IR, or produce different output
+//!    on a re-run for anything the generators produce.
 //! 2. **Sensitivity check** — the same pipeline with the planted inliner
 //!    fault armed (`hlo::fault`). The gate *must* find at least one
 //!    divergence and shrink it to a small reproducer; if it cannot, the

@@ -16,8 +16,7 @@
 //! ```
 //!
 //! Build options:
-//! `--scope module|program`, `--budget N`, `--passes N`, `--jobs N`
-//! (0 = all hardware threads; output is identical at any job count),
+//! `--scope module|program`, `--budget N`, `--passes N`,
 //! `--no-inline`, `--no-clone`, `--outline`, `--train N` (PGO training
 //! run with scale N), `--emit-ir PATH` (`-` for stdout), `--run`,
 //! `--trace N|PATH` (a count prints the first N executed VM instructions
@@ -114,8 +113,6 @@ BUILD OPTIONS:
   --scope module|program   visibility scope (default: program)
   --budget N               compile-time budget percent (default: 100)
   --passes N               clone+inline passes (default: 4)
-  --jobs N                 worker threads for per-function stages (default 1,
-                           0 = all hardware threads; same output at any N)
   --no-inline              disable the inlining passes
   --no-clone               disable the cloning passes
   --no-ipa                 disable the interprocedural-summary stage
@@ -192,11 +189,6 @@ fn parse_build_args(rest: &[String]) -> Result<Parsed, String> {
                 p.opts.passes = value("--passes")?
                     .parse()
                     .map_err(|_| "bad --passes value".to_string())?
-            }
-            "--jobs" => {
-                p.opts.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "bad --jobs value".to_string())?
             }
             "--no-inline" => p.opts.enable_inline = false,
             "--no-clone" => p.opts.enable_clone = false,

@@ -95,10 +95,9 @@ fn callee_addition() -> Vec<(&'static str, &'static str)> {
     srcs
 }
 
-fn module_opts(jobs: usize) -> HloOptions {
+fn module_opts() -> HloOptions {
     HloOptions {
         scope: Scope::WithinModule,
-        jobs,
         ..HloOptions::default()
     }
 }
@@ -127,65 +126,55 @@ fn truth(srcs: &[(&str, &str)], opts: &HloOptions) -> String {
 
 #[test]
 fn single_function_edits_rebuild_exactly_the_edited_partition() {
-    // A separate daemon per job count: `jobs` is deliberately excluded
-    // from the cache fingerprint, so one daemon would serve the second
-    // sweep entirely from its program cache.
-    for jobs in [1usize, 4] {
-        let opts = module_opts(jobs);
-        let server = Server::spawn("127.0.0.1:0", ServeConfig::default()).unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
+    let opts = module_opts();
+    let server = Server::spawn("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
-        let cold = client.optimize(&minc_request(BASE, &opts)).unwrap();
-        assert!(!cold.outcome.hit);
-        assert!(!cold.outcome.incr_fallback, "base program must be eligible");
-        assert_eq!(cold.outcome.partition_hits, 0, "cold store has no bodies");
-        let total = cold.outcome.partition_rebuilds;
-        assert!(
-            total >= 3,
-            "three independent modules, got {total} partitions"
+    let cold = client.optimize(&minc_request(BASE, &opts)).unwrap();
+    assert!(!cold.outcome.hit);
+    assert!(!cold.outcome.incr_fallback, "base program must be eligible");
+    assert_eq!(cold.outcome.partition_hits, 0, "cold store has no bodies");
+    let total = cold.outcome.partition_rebuilds;
+    assert!(
+        total >= 3,
+        "three independent modules, got {total} partitions"
+    );
+    assert_eq!(cold.ir_text, truth(BASE, &opts), "cold output");
+
+    for (name, edited) in [
+        ("body tweak", body_tweak()),
+        (
+            "signature-preserving rewrite",
+            signature_preserving_rewrite(),
+        ),
+        ("callee addition", callee_addition()),
+    ] {
+        let warm = client.optimize(&minc_request(&edited, &opts)).unwrap();
+        assert!(!warm.outcome.hit, "{name}: edited program is a new key");
+        assert!(!warm.outcome.incr_fallback, "{name}: must not fall back");
+        assert_eq!(
+            warm.ir_text,
+            truth(&edited, &opts),
+            "{name}: incremental output must be byte-identical to from-scratch"
         );
         assert_eq!(
-            cold.ir_text,
-            truth(BASE, &opts),
-            "cold output (jobs={jobs})"
+            warm.outcome.partition_rebuilds, 1,
+            "{name}: exactly the edited cone's partition rebuilds"
         );
-
-        for (name, edited) in [
-            ("body tweak", body_tweak()),
-            (
-                "signature-preserving rewrite",
-                signature_preserving_rewrite(),
-            ),
-            ("callee addition", callee_addition()),
-        ] {
-            let warm = client.optimize(&minc_request(&edited, &opts)).unwrap();
-            assert!(!warm.outcome.hit, "{name}: edited program is a new key");
-            assert!(!warm.outcome.incr_fallback, "{name}: must not fall back");
-            assert_eq!(
-                warm.ir_text,
-                truth(&edited, &opts),
-                "{name} (jobs={jobs}): incremental output must be \
-                 byte-identical to from-scratch"
-            );
-            assert_eq!(
-                warm.outcome.partition_rebuilds, 1,
-                "{name}: exactly the edited cone's partition rebuilds"
-            );
-            assert_eq!(
-                warm.outcome.partition_hits,
-                total - 1,
-                "{name}: every untouched partition splices"
-            );
-        }
-
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.partition_rebuilds, total + 3);
-        assert_eq!(stats.partition_hits, 3 * (total - 1));
-        assert_eq!(stats.incr_fallbacks, 0);
-        assert!(stats.partition_entries >= total);
-        client.shutdown().unwrap();
-        server.wait();
+        assert_eq!(
+            warm.outcome.partition_hits,
+            total - 1,
+            "{name}: every untouched partition splices"
+        );
     }
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.partition_rebuilds, total + 3);
+    assert_eq!(stats.partition_hits, 3 * (total - 1));
+    assert_eq!(stats.incr_fallbacks, 0);
+    assert!(stats.partition_entries >= total);
+    client.shutdown().unwrap();
+    server.wait();
 }
 
 /// Bumps the first integer constant in the program (immediate operand or

@@ -76,7 +76,6 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
         any::<u32>(),
         any::<u64>(),
         any::<u64>(),
-        1u64..64,
     );
     let ipa = (any::<u64>(), any::<u64>(), any::<u64>());
     let lists = (
@@ -86,8 +85,7 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
     (counts, costs, ipa, lists).prop_map(|(counts, costs, ipa, lists)| {
         let (inlines, clones, clone_replacements, deletions, pure_calls, outlines, straightened) =
             counts;
-        let (initial_cost, final_cost, budget_limit, checks_run, lint_time_us, annotations, jobs) =
-            costs;
+        let (initial_cost, final_cost, budget_limit, checks_run, lint_time_us, annotations) = costs;
         let (ipa_pure_calls, ipa_const_folds, ipa_store_forwards) = ipa;
         let (passes, stage_timings) = lists;
         HloReport {
@@ -107,7 +105,6 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
             checks_run,
             lint_time_us,
             profile_annotations: annotations,
-            jobs,
             passes,
             stage_timings,
             diagnostics: Vec::new(),
