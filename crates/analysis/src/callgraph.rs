@@ -249,8 +249,9 @@ impl CallGraph {
     /// call graph (equivalently, of the graph itself — condensing cycles
     /// never merges or splits weak components). No direct-call edge
     /// crosses a partition boundary, so inline/clone decisions inside one
-    /// partition cannot affect any other: the HLO driver plans partitions
-    /// concurrently and the result is independent of the worker count.
+    /// partition cannot affect any other: the inline and clone passes plan
+    /// each partition against its own share of the budget headroom, one
+    /// partition after another in the order returned here.
     ///
     /// Partitions are returned in ascending order of their smallest
     /// member `FuncId`; members and edge indices are ascending too, so

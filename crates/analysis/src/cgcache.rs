@@ -133,28 +133,6 @@ impl CallGraphCache {
         self.graph(p).cone_hashes(&own)
     }
 
-    /// Like [`CallGraphCache::cone_hashes`], but folds a caller-supplied
-    /// per-function salt into each function's own hash before coning.
-    /// `hlo-serve` passes interprocedural summary fingerprints here, so a
-    /// cache key changes whenever a function's *summary* changes — not
-    /// just its body text. Indices past `salt.len()` get no salt.
-    pub fn cone_hashes_salted(&mut self, p: &Program, salt: &[u64]) -> Vec<u64> {
-        let own: Vec<u64> = p
-            .funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let mut h = hlo_ir::Fnv64::new();
-                h.write(b"salted-cone").write_u64(hlo_ir::hash_function(f));
-                if let Some(&s) = salt.get(i) {
-                    h.write_u64(s);
-                }
-                h.finish()
-            })
-            .collect();
-        self.graph(p).cone_hashes(&own)
-    }
-
     /// How many times the graph was reassembled (cheap, `O(edges)`).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
@@ -271,23 +249,6 @@ mod tests {
             .push(hlo_ir::Inst::Ret { value: None });
         cache.invalidate_all();
         assert_matches_fresh(&mut cache, &p);
-    }
-
-    #[test]
-    fn salted_cone_hashes_propagate_up_the_caller_cone() {
-        // f0 -> f1 -> f2. Salting f2 must re-key f2 and both callers;
-        // salting f0 must re-key only f0.
-        let p = chain_program(3);
-        let mut cache = CallGraphCache::new();
-        let base = cache.cone_hashes_salted(&p, &[0; 3]);
-        let leaf = cache.cone_hashes_salted(&p, &[0, 0, 7]);
-        assert_ne!(base[2], leaf[2]);
-        assert_ne!(base[1], leaf[1], "f1 calls f2");
-        assert_ne!(base[0], leaf[0], "f0 reaches f2");
-        let root = cache.cone_hashes_salted(&p, &[7, 0, 0]);
-        assert_ne!(base[0], root[0]);
-        assert_eq!(base[1], root[1], "f1 does not call f0");
-        assert_eq!(base[2], root[2], "f2 does not call f0");
     }
 
     #[test]

@@ -341,8 +341,10 @@ mod tests {
         // Malformed values under known keys are still hard errors.
         assert!(HloReport::from_text("hlo-report v1\ninlines zebra\nend").is_err());
         // A fresh serialization never carries the tally.
-        let mut tallied = HloReport::default();
-        tallied.unknown_keys = 9;
+        let tallied = HloReport {
+            unknown_keys: 9,
+            ..Default::default()
+        };
         assert_eq!(
             HloReport::from_text(&tallied.to_text())
                 .unwrap()

@@ -765,9 +765,9 @@ mod tests {
         );
     }
 
-    /// Two independent call chains; editing the leaf of one re-fingerprints
-    /// exactly that chain's summaries (the dependence cone), extending the
-    /// cone-hash invalidation contract to summaries.
+    /// Two independent call chains; editing the leaf of one changes exactly
+    /// that chain's summaries (the dependence cone) — the same functions
+    /// whose cone hashes the edit re-keys.
     #[test]
     fn editing_one_function_rekeys_exactly_its_cone() {
         fn build(leaf_a_stores: bool) -> Program {
@@ -816,8 +816,8 @@ mod tests {
             pb.add_function(main.finish(Linkage::Public, Type::I64));
             pb.finish(Some(FuncId(4)))
         }
-        let before = summaries(&build(false)).fingerprints();
-        let after = summaries(&build(true)).fingerprints();
+        let before = summaries(&build(false)).funcs;
+        let after = summaries(&build(true)).funcs;
         assert_ne!(before[0], after[0], "leaf_a changed");
         assert_ne!(before[1], after[1], "mid_a absorbs leaf_a's summary");
         assert_ne!(before[4], after[4], "main absorbs both chains");

@@ -20,15 +20,12 @@
 //!   [`FuncSummary::syntactic_removable`] projection of the same
 //!   summaries, so there is one purity source,
 //! * the lint battery (call-through-escaped-frame, infeasible
-//!   indirect-call target sets — `crates/lint`),
-//! * the `hlo-serve` cache keys (summary fingerprints are mixed into the
-//!   per-function dependence-cone hashes, so editing a callee's
-//!   *effects* re-keys its whole caller cone).
+//!   indirect-call target sets — `crates/lint`).
 //!
 //! The analysis is sequential and allocation-order deterministic, so its
 //! output is byte-identical on every run by construction; the
 //! summaries serialize to a canonical text form ([`Summaries::to_text`] /
-//! [`Summaries::from_text`]) that is diffable and fingerprintable.
+//! [`Summaries::from_text`]) that is diffable.
 //!
 //! Soundness notes (documented approximations, all conservative except
 //! where stated):

@@ -1,6 +1,6 @@
 //! Summary types and their canonical text serialization.
 
-use hlo_ir::{fnv1a_64, FuncId, GlobalId};
+use hlo_ir::{FuncId, GlobalId};
 use std::fmt::Write as _;
 
 /// How (whether) a pointer passed in a parameter position escapes the
@@ -125,8 +125,8 @@ impl FuncSummary {
             && !self.may_not_terminate
     }
 
-    /// Serializes this summary as one canonical text section (the unit
-    /// [`Summaries::fingerprints`] hashes).
+    /// Serializes this summary as one canonical text section of the
+    /// [`Summaries::to_text`] wire form.
     pub fn section(&self, index: usize) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "func {index} {} params {}", self.name, self.params);
@@ -253,18 +253,6 @@ impl Summaries {
         }
         let _ = writeln!(s, "end");
         s
-    }
-
-    /// FNV-1a-64 of each function's canonical section — the unit mixed
-    /// into `hlo-serve`'s dependence-cone cache keys. A summary absorbs
-    /// its callees' effects, so editing a callee's *behaviour* changes
-    /// the fingerprints of its entire caller cone.
-    pub fn fingerprints(&self) -> Vec<u64> {
-        self.funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| fnv1a_64(f.section(i).as_bytes()))
-            .collect()
     }
 
     /// Parses the canonical wire form.
@@ -470,18 +458,6 @@ mod tests {
         assert!(Summaries::from_text(&text).is_err());
         let truncated = sample().to_text().replace("\nend\n", "\n");
         assert!(Summaries::from_text(&truncated).is_err());
-    }
-
-    #[test]
-    fn fingerprints_are_per_function() {
-        let s = sample();
-        let fp = s.fingerprints();
-        assert_eq!(fp.len(), 2);
-        let mut edited = s.clone();
-        edited.funcs[1].ret = RetInfo::Const(43);
-        let fp2 = edited.fingerprints();
-        assert_eq!(fp[0], fp2[0], "untouched function keeps its fingerprint");
-        assert_ne!(fp[1], fp2[1], "edited summary must re-fingerprint");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Wire-format guarantees for `ipa-summaries v1`.
 //!
-//! Summary fingerprints participate in the daemon's cache keys, so the
-//! canonical text must be a fixpoint: `from_text(to_text(s)) == s` and
-//! re-serializing reproduces the bytes exactly for any summary set the
-//! analysis can produce.
+//! The canonical text must be a fixpoint: `from_text(to_text(s)) == s`
+//! and re-serializing reproduces the bytes exactly for any summary set
+//! the analysis can produce.
 
 use hlo_ipa::{FuncSummary, ParamEscape, RetInfo, Summaries};
 use hlo_ir::{FuncId, GlobalId};

@@ -122,7 +122,7 @@ mod tests {
         let wc = db.get("m", "work").unwrap();
         assert_eq!(wc.entry, 1);
         // The loop body must be counted ~25 times.
-        assert!(wc.blocks.iter().any(|&c| c == 25));
+        assert!(wc.blocks.contains(&25));
     }
 
     #[test]

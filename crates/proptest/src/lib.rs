@@ -561,7 +561,10 @@ mod tests {
         }
         fn depth(t: &T) -> u32 {
             match t {
-                T::Leaf(_) => 0,
+                T::Leaf(v) => {
+                    assert!(*v < 10, "leaves come from 0..10");
+                    0
+                }
                 T::Node(a, b) => 1 + depth(a).max(depth(b)),
             }
         }
@@ -597,7 +600,8 @@ mod tests {
         ) {
             let sum: i64 = xs.iter().sum();
             prop_assert!(sum >= 0);
-            prop_assert_eq!(flip, !!flip);
+            prop_assert!(u8::from(flip) <= 1);
+            prop_assert_eq!(sum, xs.iter().rev().sum::<i64>());
         }
     }
 }

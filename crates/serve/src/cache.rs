@@ -11,15 +11,14 @@
 //!   `program_to_text` form combined (via [`CallGraphCache::cone_hashes`])
 //!   with the hashes of every inline-reachable callee, plus the option
 //!   fingerprint, profile hash and the program environment (globals,
-//!   externs, entry). With `ipa` enabled (the default), each function's
-//!   `hlo-ipa` summary fingerprint is folded in as well, so a key also
-//!   changes when a function's interprocedural *summary* changes — which
-//!   happens for exactly the dependence cone of a behavioural edit.
-//!   Editing one function changes the cone keys of
-//!   exactly that function and its transitive callers — its *dependence
-//!   cone* — so the store's hit/miss split on the next request reports
-//!   precisely which functions an edit invalidated. Functions outside the
-//!   cone keep hitting.
+//!   externs, entry). Keys are derived from content alone, the same way
+//!   for every option set: a function's `hlo-ipa` summary is computed
+//!   only from its cone's bodies and the environment, so the key already
+//!   changes whenever the summary can. Editing one function changes the
+//!   cone keys of exactly that function and its transitive callers — its
+//!   *dependence cone* — so the store's hit/miss split on the next request
+//!   reports precisely which functions an edit invalidated. Functions
+//!   outside the cone keep hitting.
 //!
 //! A third layer rides on the same lock: the **partition store**, keyed
 //! by [`crate::incremental::partition_keys`]. The optimizer's hierarchical
@@ -85,17 +84,8 @@ pub fn request_key(
     }
     let env = env.finish();
 
-    // With ipa enabled, per-function summary fingerprints are folded into
-    // the cone hashes: a function's key then changes whenever its
-    // *summary* changes — which happens exactly for the dependence cone of
-    // a behavioural edit, since summaries absorb callee effects bottom-up.
-    let cones = if opts.ipa {
-        let fingerprints = hlo_ipa::Summaries::compute(p, cg.graph(p)).fingerprints();
-        cg.cone_hashes_salted(p, &fingerprints)
-    } else {
-        cg.cone_hashes(p)
-    };
-    let funcs = cones
+    let funcs = cg
+        .cone_hashes(p)
         .into_iter()
         .map(|cone| {
             let mut h = Fnv64::new();

@@ -1,5 +1,5 @@
-//! Blocking client for the daemon — what `hloc serve` / `hloc remote`
-//! and the serve benchmark speak.
+//! Blocking client for the daemon (`hlod`) — what `hloc remote` and the
+//! serve benchmark speak.
 
 use crate::wire::{Frame, FrameError, Kind, Sections, DEFAULT_MAX_PAYLOAD};
 use crate::{

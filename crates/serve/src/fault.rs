@@ -1,7 +1,7 @@
 //! Planted fault for oracle-sensitivity testing of the incremental
 //! partition cache.
 //!
-//! When armed, [`crate::incremental::partition_keys`] drops the salted
+//! When armed, [`crate::incremental::partition_keys`] drops the
 //! cone-hash component from every partition key, leaving only the member
 //! ids and the budget-share basis — so an edit that changes a function's
 //! body (but not its size) produces the *same* partition key, and the

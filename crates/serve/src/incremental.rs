@@ -4,7 +4,7 @@
 //! On a whole-program cache miss the daemon does not have to re-optimize
 //! the world. The optimizer's plan is partition-pure: under the
 //! hierarchical budget split, each cache partition's final bodies are a
-//! pure function of its own members' salted cone hashes, the option
+//! pure function of its own members' cone hashes, the option
 //! fingerprint, the profile slice, and its budget share — never of other
 //! partitions' contents. So the daemon keys a store of finished partition
 //! bodies ([`hlo::ReusedPartition`], produced by

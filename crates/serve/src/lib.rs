@@ -21,7 +21,8 @@
 //! * [`server`] — the daemon: a bounded-queue session scheduler over a
 //!   fixed worker pool, per-request deadlines, `Busy` backpressure and
 //!   graceful drain-on-shutdown.
-//! * [`client`] — the blocking client `hloc serve` / `hloc remote` use.
+//! * [`client`] — the blocking client `hloc remote` uses to talk to
+//!   `hlod`.
 //! * [`fault`] — the planted stale-cone-key fault `cargo fuzzgate` uses
 //!   to prove the incremental edit oracle can catch stale reuse.
 //!

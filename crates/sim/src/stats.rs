@@ -91,7 +91,6 @@ mod tests {
             dcache_misses: 2,
             branches: 10,
             mispredicts: 1,
-            ..Default::default()
         };
         assert_eq!(s.cpi(), 2.0);
         assert_eq!(s.icache_miss_rate(), 0.1);

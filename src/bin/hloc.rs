@@ -8,7 +8,6 @@
 //! hloc lint  <file.mc>... [--pedantic]  static-analysis report (no optimization)
 //! hloc classify <file.mc>...          Figure-5-style call-site classification
 //! hloc fuzz [OPTIONS]                 differential-fuzz the optimizer
-//! hloc serve [OPTIONS]                run the optimization daemon in-process
 //! hloc remote <addr> build|profile|stats|metrics|trace|flight|top|ping|shutdown
 //!                                     talk to a running daemon (hlod)
 //! hloc --version                      version + enabled features
@@ -47,7 +46,6 @@ fn main() -> ExitCode {
         "lint" => lint_cmd(rest),
         "classify" => classify(rest).map(|_| ExitCode::SUCCESS),
         "fuzz" => fuzz_cmd(rest),
-        "serve" => serve_cmd(rest).map(|_| ExitCode::SUCCESS),
         "remote" => remote_cmd(rest).map(|_| ExitCode::SUCCESS),
         "--version" | "-V" | "version" => {
             println!("hloc {} (features: {FEATURES})", env!("CARGO_PKG_VERSION"));
@@ -84,10 +82,6 @@ USAGE:
             [--stop-after N] [--daemon-every N] [--quick] [--quiet]
                                        differential-fuzz the optimizer
                                        (exit 1 when findings are written)
-  hloc serve [--addr A] [--workers N] [--queue N] [--cache N]
-            [--pgo-threshold M] [--pgo-cap N] [--pgo-store PATH]
-            [--log PATH] [--log-stderr] [--slow-ms N] [--flight-cap N]
-                                       run the optimization daemon in-process
   hloc remote <addr> build [OPTIONS] <file.mc>...
                                        optimize on a running daemon
                                        (--server-profile: use the daemon's
@@ -151,6 +145,41 @@ struct Parsed {
     explain: Option<Option<String>>,
 }
 
+/// Applies `flag` to `opts` if it is one of the optimizer flags `hloc
+/// build` and `hloc remote build` share, taking its value (if it has one)
+/// from `value`. Returns whether `flag` was one of them.
+fn optimizer_flag(
+    opts: &mut hlo::HloOptions,
+    flag: &str,
+    value: &mut impl FnMut(&str) -> Result<String, String>,
+) -> Result<bool, String> {
+    match flag {
+        "--scope" => {
+            opts.scope = match value("--scope")?.as_str() {
+                "module" => hlo::Scope::WithinModule,
+                "program" => hlo::Scope::CrossModule,
+                other => return Err(format!("bad scope `{other}`")),
+            }
+        }
+        "--budget" => {
+            opts.budget_percent = value("--budget")?
+                .parse()
+                .map_err(|_| "bad --budget value".to_string())?
+        }
+        "--passes" => {
+            opts.passes = value("--passes")?
+                .parse()
+                .map_err(|_| "bad --passes value".to_string())?
+        }
+        "--no-inline" => opts.enable_inline = false,
+        "--no-clone" => opts.enable_clone = false,
+        "--no-ipa" => opts.ipa = false,
+        "--outline" => opts.enable_outline = true,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 fn parse_build_args(rest: &[String]) -> Result<Parsed, String> {
     let mut p = Parsed {
         files: Vec::new(),
@@ -172,28 +201,10 @@ fn parse_build_args(rest: &[String]) -> Result<Parsed, String> {
                 .cloned()
                 .ok_or_else(|| format!("`{name}` needs a value"))
         };
+        if optimizer_flag(&mut p.opts, a, &mut value)? {
+            continue;
+        }
         match a.as_str() {
-            "--scope" => {
-                p.opts.scope = match value("--scope")?.as_str() {
-                    "module" => hlo::Scope::WithinModule,
-                    "program" => hlo::Scope::CrossModule,
-                    other => return Err(format!("bad scope `{other}`")),
-                }
-            }
-            "--budget" => {
-                p.opts.budget_percent = value("--budget")?
-                    .parse()
-                    .map_err(|_| "bad --budget value".to_string())?
-            }
-            "--passes" => {
-                p.opts.passes = value("--passes")?
-                    .parse()
-                    .map_err(|_| "bad --passes value".to_string())?
-            }
-            "--no-inline" => p.opts.enable_inline = false,
-            "--no-clone" => p.opts.enable_clone = false,
-            "--no-ipa" => p.opts.ipa = false,
-            "--outline" => p.opts.enable_outline = true,
             "--verify-each" => p.opts.check = hlo::CheckLevel::Strict,
             "--check" => p.opts.check = value("--check")?.parse()?,
             "--train" => {
@@ -532,74 +543,6 @@ fn run_plain(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `hloc serve`: run the optimization daemon in the foreground — the same
-/// server `hlod` wraps, for when a separate binary is inconvenient.
-fn serve_cmd(rest: &[String]) -> Result<(), String> {
-    let mut addr = "127.0.0.1:7457".to_string();
-    let mut cfg = serve::ServeConfig::default();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{name}` needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--workers" => {
-                cfg.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers value".to_string())?
-            }
-            "--queue" => {
-                cfg.queue_cap = value("--queue")?
-                    .parse()
-                    .map_err(|_| "bad --queue value".to_string())?
-            }
-            "--cache" => {
-                cfg.cache_cap = value("--cache")?
-                    .parse()
-                    .map_err(|_| "bad --cache value".to_string())?
-            }
-            "--pgo-threshold" => {
-                cfg.pgo_threshold_millis = value("--pgo-threshold")?
-                    .parse()
-                    .map_err(|_| "bad --pgo-threshold value".to_string())?
-            }
-            "--pgo-cap" => {
-                cfg.pgo_cap = value("--pgo-cap")?
-                    .parse()
-                    .map_err(|_| "bad --pgo-cap value".to_string())?
-            }
-            "--pgo-store" => {
-                cfg.pgo_store_path = Some(std::path::PathBuf::from(value("--pgo-store")?))
-            }
-            "--log" => cfg.event_log_path = Some(std::path::PathBuf::from(value("--log")?)),
-            "--log-stderr" => cfg.log_stderr = true,
-            "--slow-ms" => {
-                cfg.slow_ms = Some(
-                    value("--slow-ms")?
-                        .parse()
-                        .map_err(|_| "bad --slow-ms value".to_string())?,
-                )
-            }
-            "--flight-cap" => {
-                cfg.flight_cap = value("--flight-cap")?
-                    .parse()
-                    .map_err(|_| "bad --flight-cap value".to_string())?
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let banner_cfg = cfg.clone();
-    let server =
-        serve::Server::spawn(addr.as_str(), cfg).map_err(|e| format!("bind {addr}: {e}"))?;
-    serve::server::banner(server.local_addr(), &banner_cfg);
-    server.wait();
-    eprintln!("hloc serve: drained, exiting");
-    Ok(())
-}
-
 /// `hloc remote <addr> build ...`: ship a build to a running daemon. Takes
 /// the optimizer subset of the `build` options plus `--profile PATH`,
 /// `--deadline-ms N`, and `--train-arg N` (execute the optimized program
@@ -737,28 +680,10 @@ fn remote_build(client: &mut serve::Client, rest: &[String]) -> Result<(), Strin
                 .cloned()
                 .ok_or_else(|| format!("`{name}` needs a value"))
         };
+        if optimizer_flag(&mut opts, a, &mut value)? {
+            continue;
+        }
         match a.as_str() {
-            "--scope" => {
-                opts.scope = match value("--scope")?.as_str() {
-                    "module" => hlo::Scope::WithinModule,
-                    "program" => hlo::Scope::CrossModule,
-                    other => return Err(format!("bad scope `{other}`")),
-                }
-            }
-            "--budget" => {
-                opts.budget_percent = value("--budget")?
-                    .parse()
-                    .map_err(|_| "bad --budget value".to_string())?
-            }
-            "--passes" => {
-                opts.passes = value("--passes")?
-                    .parse()
-                    .map_err(|_| "bad --passes value".to_string())?
-            }
-            "--no-inline" => opts.enable_inline = false,
-            "--no-clone" => opts.enable_clone = false,
-            "--no-ipa" => opts.ipa = false,
-            "--outline" => opts.enable_outline = true,
             "--profile" => profile_path = Some(value("--profile")?),
             "--server-profile" => server_profile = true,
             "--deadline-ms" => {

@@ -1,5 +1,6 @@
 //! `cargo tier2` — the repository's second-tier quality gate: clippy with
-//! warnings denied across all targets, then `rustfmt` in check mode.
+//! warnings denied across every target of every workspace member (lib
+//! test targets included), then `rustfmt` in check mode.
 //!
 //! A second mode, `tier2 trace-schema <file.json>`, validates a trace file
 //! written by `hloc build --trace PATH` against the Chrome trace-event
@@ -113,7 +114,14 @@ fn main() -> ExitCode {
             }
         };
     }
-    let clippy = run(&["clippy", "--all-targets", "--", "-D", "warnings"]);
+    let clippy = run(&[
+        "clippy",
+        "--workspace",
+        "--all-targets",
+        "--",
+        "-D",
+        "warnings",
+    ]);
     let fmt = run(&["fmt", "--all", "--check"]);
     let tables = check_design_tables();
     if clippy && fmt && tables {

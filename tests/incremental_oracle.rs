@@ -3,16 +3,17 @@
 //!
 //! A daemon that splices cached partition bodies must be *invisible*: its
 //! output for an edited program must be byte-identical to a from-scratch
-//! `hlo::optimize` of the same input, at every job count — and it must
-//! have rebuilt exactly the partitions the edit's dependence cone
-//! touched, splicing the rest. These tests sweep the three edit shapes a
-//! build service actually sees (body tweak, signature-preserving rewrite,
-//! callee addition) over a hand-built multi-module program, then sweep
-//! single-constant edits over the SPEC-style suite and fuzz-generated
-//! programs.
+//! `hlo::optimize` of the same input — and it must have rebuilt exactly
+//! the partitions the edit's dependence cone touched, splicing the rest.
+//! These tests sweep the three edit shapes a build service actually sees
+//! (body tweak, signature-preserving rewrite, callee addition) over a
+//! hand-built multi-module program, then sweep single-constant edits over
+//! the SPEC-style suite and fuzz-generated programs. A last sweep checks
+//! that keying functions by content alone re-keys exactly the functions
+//! that folding in their interprocedural summaries would.
 
-use hlo::{HloOptions, Scope};
-use hlo_ir::{program_to_text, ConstVal, Inst, Program};
+use hlo::{CallGraphCache, HloOptions, Scope};
+use hlo_ir::{hash_function, program_to_text, ConstVal, Fnv64, Inst, Program};
 use hlo_serve::{Client, OptimizeRequest, ProfileSpec, ServeConfig, Server, SourceKind};
 
 /// Three modules with no cross-module calls: three cache partitions under
@@ -177,35 +178,33 @@ fn single_function_edits_rebuild_exactly_the_edited_partition() {
     server.wait();
 }
 
-/// Bumps the first integer constant in the program (immediate operand or
+/// Bumps the first integer constant of function `f` (immediate operand or
 /// `Const` instruction) — the generic single-function "edit" for programs
-/// we did not hand-write.
-fn bump_first_const(p: &Program) -> Option<Program> {
+/// we did not hand-write. `None` when `f` has no integer constant.
+fn bump_first_const(p: &Program, f: usize) -> Option<Program> {
     let mut q = p.clone();
-    for f in &mut q.funcs {
-        for b in &mut f.blocks {
-            for inst in &mut b.insts {
-                if let Inst::Const {
-                    value: ConstVal::I64(v),
-                    ..
-                } = inst
-                {
-                    *v = v.wrapping_add(1);
-                    return Some(q);
-                }
-                let mut bumped = false;
-                inst.for_each_use_mut(|op| {
-                    if bumped {
-                        return;
-                    }
-                    if let hlo_ir::Operand::Const(ConstVal::I64(v)) = op {
-                        *v = v.wrapping_add(1);
-                        bumped = true;
-                    }
-                });
+    for b in &mut q.funcs[f].blocks {
+        for inst in &mut b.insts {
+            if let Inst::Const {
+                value: ConstVal::I64(v),
+                ..
+            } = inst
+            {
+                *v = v.wrapping_add(1);
+                return Some(q);
+            }
+            let mut bumped = false;
+            inst.for_each_use_mut(|op| {
                 if bumped {
-                    return Some(q);
+                    return;
                 }
+                if let hlo_ir::Operand::Const(ConstVal::I64(v)) = op {
+                    *v = v.wrapping_add(1);
+                    bumped = true;
+                }
+            });
+            if bumped {
+                return Some(q);
             }
         }
     }
@@ -249,7 +248,8 @@ fn edit_sweep_over_suite_and_fuzz_programs_is_byte_identical() {
         };
         let cold = client.optimize(&request(&program)).unwrap();
         assert_eq!(cold.ir_text, expect(&program), "{name}: cold");
-        let Some(edited) = bump_first_const(&program) else {
+        let Some(edited) = (0..program.funcs.len()).find_map(|f| bump_first_const(&program, f))
+        else {
             continue;
         };
         edits += 1;
@@ -266,4 +266,99 @@ fn edit_sweep_over_suite_and_fuzz_programs_is_byte_identical() {
 
     client.shutdown().unwrap();
     server.wait();
+}
+
+/// Cone hashes with each function's `hlo-ipa` summary folded into its own
+/// content hash before coning — how hlod keyed functions while it salted
+/// its keys with summaries.
+fn summary_salted_cone_hashes(p: &Program) -> Vec<u64> {
+    let cg = hlo_analysis::CallGraph::build(p);
+    let summaries = hlo_ipa::Summaries::compute(p, &cg);
+    let own: Vec<u64> = p
+        .funcs
+        .iter()
+        .zip(&summaries.funcs)
+        .enumerate()
+        .map(|(i, (f, s))| {
+            let mut h = Fnv64::new();
+            h.write(b"salted-cone")
+                .write_u64(hash_function(f))
+                .write_u64(hlo_ir::fnv1a_64(s.section(i).as_bytes()));
+            h.finish()
+        })
+        .collect();
+    cg.cone_hashes(&own)
+}
+
+/// `request_key` keys each function by its cone's content alone. A
+/// summary is computed only from its function's direct-call cone and the
+/// global and extern tables, so folding the summaries in must not change
+/// which functions an edit re-keys. The edits bump one constant in one
+/// body, so the option, profile and environment hashes `request_key`
+/// mixes into every key are the same on both sides, and the reference
+/// compares the salted cone hashes alone.
+#[test]
+fn content_keys_rekey_the_same_functions_as_summary_salted_keys() {
+    let opts = HloOptions::default();
+    let mut programs: Vec<(String, Program)> = hlo_suite::all_benchmarks()
+        .into_iter()
+        .map(|b| (b.name.to_string(), hlo_frontc::compile(&b.sources).unwrap()))
+        .collect();
+    for seed in 0..16u64 {
+        let sources = hlo_fuzz::generate_sources(seed, &hlo_fuzz::GenConfig::default());
+        let refs: Vec<(&str, &str)> = sources
+            .iter()
+            .map(|(n, s)| (n.as_str(), s.as_str()))
+            .collect();
+        programs.push((format!("fuzz-{seed}"), hlo_frontc::compile(&refs).unwrap()));
+        programs.push((
+            format!("irgen-{seed}"),
+            hlo_fuzz::generate_program(seed, &hlo_fuzz::IrGenConfig::default()),
+        ));
+    }
+
+    let keys = |p: &Program| {
+        let shipped = hlo_serve::cache::request_key(p, &opts, "", &mut CallGraphCache::new()).funcs;
+        (shipped, summary_salted_cone_hashes(p))
+    };
+    let (mut pairs, mut rekeyed, mut disagreements) = (0usize, 0usize, Vec::new());
+    for (name, program) in &programs {
+        let (base, base_ref) = keys(program);
+        for f in 0..program.funcs.len() {
+            let Some(edited) = bump_first_const(program, f) else {
+                continue;
+            };
+            let (after, after_ref) = keys(&edited);
+            for i in 0..program.funcs.len() {
+                pairs += 1;
+                let changed = base[i] != after[i];
+                rekeyed += usize::from(changed);
+                if changed != (base_ref[i] != after_ref[i]) {
+                    disagreements.push(format!(
+                        "{name}: editing `{}` re-keys `{}` {}",
+                        program.funcs[f].name,
+                        program.funcs[i].name,
+                        if changed {
+                            "by content but not with summaries"
+                        } else {
+                            "with summaries but not by content"
+                        }
+                    ));
+                }
+            }
+        }
+    }
+    eprintln!(
+        "{pairs} (program, edit, function) pairs, {rekeyed} re-keyed, {} disagreements",
+        disagreements.len()
+    );
+    assert!(disagreements.is_empty(), "{disagreements:#?}");
+    assert!(
+        pairs >= 3500,
+        "the sweep must cover the suite and fuzz programs"
+    );
+    assert!(
+        rekeyed > 0 && rekeyed < pairs,
+        "edits must re-key some functions and leave others alone"
+    );
 }
