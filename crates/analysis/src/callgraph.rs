@@ -1,6 +1,7 @@
 //! Call graph construction and strongly connected components.
 
 use hlo_ir::{BlockId, Callee, ConstVal, FuncId, Inst, Operand, Program};
+use std::sync::OnceLock;
 
 /// Names a particular call instruction: function, block, instruction index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,7 +42,8 @@ pub struct CallGraphPartition {
 /// separately (they cannot be inlined or cloned directly, Figure 5).
 /// Functions whose address is taken anywhere are flagged: they stay alive
 /// during unreachable-routine deletion and keep their original entry when
-/// cloned.
+/// cloned. The SCC list is computed on first use and kept with the graph,
+/// so each assembly runs Tarjan at most once however many readers ask.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     /// All direct edges, in deterministic program order.
@@ -59,6 +61,8 @@ pub struct CallGraph {
     /// Whether each function *takes* some function's address (its body
     /// contains a `FuncAddr` constant).
     pub address_takers: Vec<bool>,
+    /// [`CallGraph::sccs`], once computed.
+    sccs: OnceLock<Vec<Vec<FuncId>>>,
 }
 
 /// The call-relevant facts of a single function body: its direct call
@@ -147,6 +151,7 @@ fn assemble(scans: &[FuncScan]) -> CallGraph {
         extern_sites,
         address_taken,
         address_takers,
+        sccs: OnceLock::new(),
     }
 }
 
@@ -173,8 +178,13 @@ impl CallGraph {
 
     /// Strongly connected components in *reverse topological order*:
     /// callees appear before callers, which is exactly the bottom-up order
-    /// the paper's inline scheduler works in.
-    pub fn sccs(&self) -> Vec<Vec<FuncId>> {
+    /// the paper's inline scheduler works in. Members of each component
+    /// ascend. Computed on the first call and kept with the graph.
+    pub fn sccs(&self) -> &[Vec<FuncId>] {
+        self.sccs.get_or_init(|| self.tarjan())
+    }
+
+    fn tarjan(&self) -> Vec<Vec<FuncId>> {
         // Iterative Tarjan to avoid recursion limits on deep call chains.
         let n = self.num_funcs();
         let mut index = vec![usize::MAX; n];
@@ -459,21 +469,22 @@ impl CallGraph {
             .collect()
     }
 
+    /// Whether the component `comp` of [`CallGraph::sccs`] is recursive:
+    /// it has several members, or its one member calls itself.
+    pub fn is_recursive(&self, comp: &[FuncId]) -> bool {
+        comp.len() > 1
+            || self.callees_of[comp[0].index()]
+                .iter()
+                .any(|&e| self.edges[e].callee == comp[0])
+    }
+
     /// Whether `f` participates in recursion: a self edge or a nontrivial
-    /// SCC. Computed from a supplied SCC decomposition to avoid rebuilding.
-    pub fn in_recursion(&self, sccs: &[Vec<FuncId>], f: FuncId) -> bool {
-        for comp in sccs {
-            if comp.contains(&f) {
-                if comp.len() > 1 {
-                    return true;
-                }
-                // self loop?
-                return self.callees_of[f.index()]
-                    .iter()
-                    .any(|&e| self.edges[e].callee == f);
-            }
-        }
-        false
+    /// SCC.
+    pub fn in_recursion(&self, f: FuncId) -> bool {
+        self.sccs()
+            .iter()
+            .find(|comp| comp.contains(&f))
+            .is_some_and(|comp| self.is_recursive(comp))
     }
 }
 
@@ -564,11 +575,10 @@ mod tests {
     fn recursion_detection() {
         let p = program();
         let cg = CallGraph::build(&p);
-        let sccs = cg.sccs();
-        assert!(cg.in_recursion(&sccs, FuncId(1)));
-        assert!(cg.in_recursion(&sccs, FuncId(2)));
-        assert!(!cg.in_recursion(&sccs, FuncId(0)));
-        assert!(!cg.in_recursion(&sccs, FuncId(3)));
+        assert!(cg.in_recursion(FuncId(1)));
+        assert!(cg.in_recursion(FuncId(2)));
+        assert!(!cg.in_recursion(FuncId(0)));
+        assert!(!cg.in_recursion(FuncId(3)));
     }
 
     #[test]
@@ -582,8 +592,7 @@ mod tests {
         pb.add_function(f.finish(Linkage::Public, Type::Void));
         let p = pb.finish(Some(FuncId(0)));
         let cg = CallGraph::build(&p);
-        let sccs = cg.sccs();
-        assert!(cg.in_recursion(&sccs, FuncId(0)));
+        assert!(cg.in_recursion(FuncId(0)));
     }
 
     use hlo_ir::ConstVal;

@@ -14,6 +14,11 @@
 //! function: the scalar optimizer converged on the function and its body
 //! has not changed since, so re-running the optimizer on it would change
 //! nothing. Invalidation clears the bit.
+//!
+//! For the same reason each function's *scan stamp* changes exactly when
+//! its body is re-scanned, so analyses that keep per-function facts
+//! beside the cache (`hlo-ipa`'s summary cache) can tell which bodies
+//! changed since they last looked without being told themselves.
 
 use crate::callgraph::{scan_function, CallGraph, FuncScan};
 use hlo_ir::{FuncId, Program};
@@ -34,6 +39,9 @@ use hlo_ir::{FuncId, Program};
 pub struct CallGraphCache {
     scans: Vec<FuncScan>,
     dirty: Vec<bool>,
+    /// Per function, the ordinal of the scan that produced `scans[i]`
+    /// (`rescans` just after it), so every scan gets a stamp of its own.
+    stamps: Vec<u64>,
     /// Indexed by id, and may reach past `scans` (a clone settles before
     /// the next query scans it); ids past its end are unsettled.
     settled: Vec<bool>,
@@ -99,6 +107,7 @@ impl CallGraphCache {
                 self.scans.push(scan_function(id, p.func(id)));
                 self.dirty.push(false);
                 self.rescans += 1;
+                self.stamps.push(self.rescans);
             }
             self.graph = None;
         }
@@ -109,6 +118,7 @@ impl CallGraphCache {
                 let id = FuncId(i as u32);
                 self.scans[i] = scan_function(id, p.func(id));
                 self.rescans += 1;
+                self.stamps[i] = self.rescans;
                 *d = false;
                 changed = true;
             }
@@ -121,6 +131,15 @@ impl CallGraphCache {
             self.rebuilds += 1;
         }
         self.graph.as_ref().expect("graph just assembled")
+    }
+
+    /// The stamp of the scan behind `f`'s current call-graph facts: it
+    /// changes exactly when [`CallGraphCache::graph`] re-scans `f`, and no
+    /// two scans of one cache share a stamp. 0 until `f` is first scanned.
+    /// Read it after [`CallGraphCache::graph`], which performs the scans an
+    /// invalidation asked for.
+    pub fn scan_stamp(&self, f: FuncId) -> u64 {
+        self.stamps.get(f.index()).copied().unwrap_or(0)
     }
 
     /// Per-function *cone hashes* for content-addressed result caching:
@@ -249,6 +268,23 @@ mod tests {
             .push(hlo_ir::Inst::Ret { value: None });
         cache.invalidate_all();
         assert_matches_fresh(&mut cache, &p);
+    }
+
+    #[test]
+    fn scan_stamps_change_exactly_on_rescan() {
+        let mut p = chain_program(3);
+        let mut cache = CallGraphCache::new();
+        assert_eq!(cache.scan_stamp(FuncId(0)), 0, "never scanned");
+        cache.graph(&p);
+        let first: Vec<u64> = (0..3).map(|i| cache.scan_stamp(FuncId(i))).collect();
+        cache.invalidate(FuncId(1));
+        cache.graph(&p);
+        let clone = p.push_function(p.funcs[2].clone());
+        cache.graph(&p);
+        let second: Vec<u64> = (0..3).map(|i| cache.scan_stamp(FuncId(i))).collect();
+        assert_eq!((first[0], first[2]), (second[0], second[2]));
+        assert!(second[1] > first[1], "a re-scan gets a fresh stamp");
+        assert!(cache.scan_stamp(clone) > second[1], "so does a first scan");
     }
 
     #[test]

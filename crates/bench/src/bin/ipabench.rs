@@ -13,11 +13,11 @@
 //!   summary-deleted calls free budget, and the purity bonus re-ranks
 //!   sites),
 //! * the wall-clock time of the `pure_calls` stage leaf at both settings
-//!   (it computes the summaries both settings share, since the paper's
-//!   syntactic side-effect test is a projection of them), and
+//!   (it holds the summary read both settings share, since the paper's
+//!   syntactic side-effect test is a projection of the summaries), and
 //! * the marginal wall-clock cost of `ipa on` (the `ipa` leaf: the
-//!   summary recomputation after a syntactic deletion, and the
-//!   summary-driven transformations).
+//!   summary re-read after a syntactic deletion, and the summary-driven
+//!   transformations).
 //!
 //! Leaf times are summed over every optimization pass.
 //!

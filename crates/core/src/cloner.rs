@@ -13,6 +13,7 @@ use crate::inliner::site_str;
 use crate::legality::clone_restriction;
 use crate::transform::{make_clone, redirect_site_to_clone, scale_profile};
 use hlo_analysis::{CallGraph, CallGraphCache, CallGraphPartition, CallSiteRef};
+use hlo_ipa::SummaryCache;
 use hlo_ir::{Callee, ConstVal, FuncId, Function, Inst, Linkage, Operand, Program};
 use hlo_trace::{DecisionEvent, DecisionKind, Tracer, Verdict};
 use std::collections::{HashMap, HashSet};
@@ -317,6 +318,7 @@ pub fn clone_pass(
     db: &mut CloneDb,
     ops_left: &mut Option<u64>,
     cache: &mut CallGraphCache,
+    sums: &mut SummaryCache,
     tracer: &mut Tracer,
 ) -> ClonePassResult {
     let mut result = ClonePassResult::default();
@@ -326,23 +328,15 @@ pub fn clone_pass(
     // Build clone groups partition by partition; a partition without call
     // edges has no site to clone for and is skipped.
     let mut parts: Vec<PartitionGroups> = {
+        let summaries = opts.ipa.then(|| sums.read(p, cache));
         let cg = cache.graph(p);
         let p_ref: &Program = p;
-        let summaries = opts.ipa.then(|| hlo_ipa::Summaries::compute(p_ref, cg));
         let mut parts = Vec::new();
         for part in cg.partitions() {
             if part.edge_indices.is_empty() {
                 continue;
             }
-            let mut groups = build_groups(
-                p_ref,
-                cg,
-                &part,
-                summaries.as_ref(),
-                opts,
-                pass as u32,
-                tracer,
-            );
+            let mut groups = build_groups(p_ref, cg, &part, summaries, opts, pass as u32, tracer);
             if groups.is_empty() {
                 continue;
             }
@@ -564,6 +558,7 @@ mod tests {
         let mut budget = Budget::new(c0, 100, &[1.0]);
         let mut db = CloneDb::default();
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         clone_pass(
             p,
             &mut budget,
@@ -572,6 +567,7 @@ mod tests {
             &mut db,
             &mut None,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         )
     }
@@ -662,6 +658,7 @@ mod tests {
         let mut budget = Budget::new(c0, 1000, &[1.0]);
         let mut db = CloneDb::default();
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         let opts = HloOptions::default();
         let mut ops = Some(1u64);
         let r1 = clone_pass(
@@ -672,6 +669,7 @@ mod tests {
             &mut db,
             &mut ops,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         assert_eq!(r1.clones_created, 1, "{r1:?}");
@@ -684,6 +682,7 @@ mod tests {
             &mut db,
             &mut None,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         assert_eq!(r2.clones_created, 0, "{r2:?}");
@@ -712,6 +711,7 @@ mod tests {
         let mut budget = Budget::new(c0, 0, &[1.0]);
         let mut db = CloneDb::default();
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         let r = clone_pass(
             &mut p,
             &mut budget,
@@ -720,6 +720,7 @@ mod tests {
             &mut db,
             &mut None,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         // f has another caller with a different constant, so neither group
@@ -777,6 +778,7 @@ mod tests {
         let mut db = CloneDb::default();
         let mut ops = Some(2u64);
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         let r = clone_pass(
             &mut p,
             &mut budget,
@@ -785,6 +787,7 @@ mod tests {
             &mut db,
             &mut ops,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         assert_eq!(r.sites_replaced, 2);

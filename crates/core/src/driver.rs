@@ -3,8 +3,10 @@
 //! The pipeline runs one call-graph partition at a time, each on a
 //! sub-program of its own (see [`optimize_partial`]). Within a partition
 //! one [`CallGraphCache`] is shared across every stage, so passes re-scan
-//! only the functions they actually edited. Every stage runs on the
-//! calling thread, in function and partition order.
+//! only the functions they actually edited, and one [`SummaryCache`]
+//! beside it hands every summary reader the same summaries, re-solved
+//! only where an edit reached. Every stage runs on the calling thread, in
+//! function and partition order.
 
 use crate::budget::{Budget, BudgetSet};
 use crate::cloner::{clone_pass, CloneDb};
@@ -12,6 +14,7 @@ use crate::delete::{delete_unreachable, empty_body, has_empty_body};
 use crate::inliner::inline_pass;
 use crate::report::{HloReport, PassReport, StageTiming};
 use hlo_analysis::{estimate_static_profile, CallGraph, CallGraphCache};
+use hlo_ipa::SummaryCache;
 use hlo_ir::{FuncId, FuncProfile, Function, Linkage, Module, Program};
 use hlo_lint::{CheckLevel, Checker};
 use hlo_profile::{apply_profile, ProfileDb};
@@ -560,11 +563,12 @@ impl Build<'_> {
     fn partition(&mut self, q: &mut Program, placeholders: u64, tracer: &mut Tracer) -> usize {
         let opts = self.opts;
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
 
         // Input-stage cleanup: classic optimizations "mainly to reduce
         // size", plus interprocedural side-effect deletion on the
         // link-time path.
-        self.optimize_all(q, &mut cache, tracer, 0);
+        self.optimize_all(q, &mut cache, &mut sums, tracer, 0);
         let t = Instant::now();
         self.report.deletions += delete_unreachable(q, opts.scope, &mut cache);
         tracer.leaf_seq("delete", t.elapsed());
@@ -584,7 +588,7 @@ impl Build<'_> {
             cache.invalidate_all();
             self.ck.check(q, "outline");
             if self.report.outlines > 0 {
-                self.optimize_all(q, &mut cache, tracer, 0);
+                self.optimize_all(q, &mut cache, &mut sums, tracer, 0);
             }
             tracer.pop(outline_span, t.elapsed());
         }
@@ -615,6 +619,7 @@ impl Build<'_> {
                     &mut clone_db,
                     &mut self.ops_left,
                     &mut cache,
+                    &mut sums,
                     tracer,
                 );
                 let pr = &mut self.passes[pass];
@@ -633,6 +638,7 @@ impl Build<'_> {
                     opts,
                     &mut self.ops_left,
                     &mut cache,
+                    &mut sums,
                     tracer,
                 );
                 self.passes[pass].inlines += r.inlines;
@@ -644,7 +650,7 @@ impl Build<'_> {
             self.passes[pass].deletions += delete_unreachable(q, opts.scope, &mut cache);
             tracer.leaf_seq("delete", t.elapsed());
             self.ck.check(q, &format!("delete@{pass}"));
-            self.optimize_all(q, &mut cache, tracer, pass as u32);
+            self.optimize_all(q, &mut cache, &mut sums, tracer, pass as u32);
             let t = Instant::now();
             self.passes[pass].deletions += delete_unreachable(q, opts.scope, &mut cache);
             tracer.leaf_seq("delete", t.elapsed());
@@ -657,6 +663,8 @@ impl Build<'_> {
             // stages release more budget.
         }
         self.budgets.push(budget);
+        self.report.summary_scans += sums.scans();
+        self.report.summary_solves += sums.solves();
 
         // Final PBO code positioning: straighten hot paths so
         // fall-throughs replace jumps (does not change VM semantics, only
@@ -671,17 +679,18 @@ impl Build<'_> {
     }
 
     /// Optimizes every function of `q`; on the whole-program path it then
-    /// runs the summary stage. One [`hlo_ipa::Summaries`] computation
-    /// feeds the paper's syntactic pure-call deletion (the `pure_calls`
-    /// leaf) and, with [`HloOptions::ipa`] set, the summary-driven
-    /// cross-call transformations (the `ipa` leaf). Accumulates its
-    /// counters into the report. In verify-each mode the checker runs
-    /// after every scalar sub-pass, so findings carry sub-pass origins like
-    /// `cse` or `simplify_cfg`.
+    /// runs the summary stage. A read of the partition's summaries feeds
+    /// the paper's syntactic pure-call deletion (the `pure_calls` leaf)
+    /// and, with [`HloOptions::ipa`] set, the summary-driven cross-call
+    /// transformations (the `ipa` leaf). Accumulates its counters into the
+    /// report. In verify-each mode the checker runs after every scalar
+    /// sub-pass, so findings carry sub-pass origins like `cse` or
+    /// `simplify_cfg`.
     fn optimize_all(
         &mut self,
         q: &mut Program,
         cache: &mut CallGraphCache,
+        sums: &mut SummaryCache,
         tracer: &mut Tracer,
         pass: u32,
     ) {
@@ -693,7 +702,7 @@ impl Build<'_> {
         // The summaries are the only purity source: the paper's syntactic
         // side-effect test is their `syntactic_removable` projection.
         let t = Instant::now();
-        let mut summaries = hlo_ipa::Summaries::compute(q, cache.graph(q));
+        let mut summaries = sums.read(q, cache);
         let removal = hlo_opt::eliminate_calls_where(q, &summaries.syntactic_removable());
         for &f in &removal.changed {
             cache.invalidate(f);
@@ -728,9 +737,9 @@ impl Build<'_> {
             // The summaries still describe `q` unless the deletion above
             // (and the cleanup after it) edited it.
             if removal.removed > 0 {
-                summaries = hlo_ipa::Summaries::compute(q, cache.graph(q));
+                summaries = sums.read(q, cache);
             }
-            let folds = hlo_opt::fold_const_returns(q, &summaries);
+            let folds = hlo_opt::fold_const_returns(q, summaries);
             for fo in &folds {
                 cache.invalidate(fo.caller);
             }
@@ -738,7 +747,7 @@ impl Build<'_> {
             for &f in &ipa_removal.changed {
                 cache.invalidate(f);
             }
-            let xstats = hlo_opt::forward_across_calls(q, &summaries);
+            let xstats = hlo_opt::forward_across_calls(q, summaries);
             for &f in &xstats.changed {
                 cache.invalidate(f);
             }
@@ -1272,9 +1281,8 @@ mod tests {
             .map(|(i, _)| i)
             .expect("clone exists");
         let cg = hlo_analysis::CallGraph::build(&p);
-        let sccs = cg.sccs();
         assert!(
-            cg.in_recursion(&sccs, clone),
+            cg.in_recursion(clone),
             "clone should call itself after pass-through specialization"
         );
     }

@@ -16,6 +16,7 @@ use crate::driver::HloOptions;
 use crate::legality::inline_restriction;
 use crate::transform::{inline_call, scale_profile};
 use hlo_analysis::{CallGraphCache, CallSiteRef};
+use hlo_ipa::SummaryCache;
 use hlo_ir::{FuncId, Program};
 use hlo_trace::{DecisionEvent, DecisionKind, Tracer, Verdict};
 use std::collections::HashMap;
@@ -96,6 +97,7 @@ struct PartitionPlan {
 /// partition order, drawing down the one Figure 8 operation cap in turn.
 /// Accepted inlines are then performed in partition order, schedule order
 /// within each.
+#[allow(clippy::too_many_arguments)] // the call-graph and summary caches travel side by side
 pub fn inline_pass(
     p: &mut Program,
     budget: &mut Budget,
@@ -103,6 +105,7 @@ pub fn inline_pass(
     opts: &HloOptions,
     ops_left: &mut Option<u64>,
     cache: &mut CallGraphCache,
+    sums: &mut SummaryCache,
     tracer: &mut Tracer,
 ) -> InlinePassResult {
     let mut result = InlinePassResult::default();
@@ -113,10 +116,10 @@ pub fn inline_pass(
     // candidates"). All screening data is copied out so the call-graph
     // borrow ends before any mutation.
     let (scc_rank, mut tasks) = {
-        let cg = cache.graph(p);
         // Interprocedural facts sharpen screening (frame-escape blocks a
         // splice) and ranking (pure callees fold further once inlined).
-        let summaries = opts.ipa.then(|| hlo_ipa::Summaries::compute(p, cg));
+        let summaries = opts.ipa.then(|| sums.read(p, cache));
+        let cg = cache.graph(p);
         let sccs = cg.sccs();
         let mut scc_rank = vec![0usize; p.funcs.len()];
         for (i, comp) in sccs.iter().enumerate() {
@@ -156,7 +159,7 @@ pub fn inline_pass(
                 // frame address must not have its frame merged into the
                 // caller's — the escaped address would outlive (and alias)
                 // differently after the splice.
-                if let Some(s) = &summaries {
+                if let Some(s) = summaries {
                     if s.funcs[edge.callee.index()].leaks_frame {
                         if explain {
                             tracer.decision(DecisionEvent {
@@ -185,10 +188,7 @@ pub fn inline_pass(
                 if callee.flags.inline_hint {
                     merit *= HINT_BONUS;
                 }
-                if summaries
-                    .as_ref()
-                    .is_some_and(|s| s.funcs[edge.callee.index()].removable())
-                {
+                if summaries.is_some_and(|s| s.funcs[edge.callee.index()].removable()) {
                     merit *= IPA_PURE_BONUS;
                 }
                 candidates.push(Candidate {
@@ -424,6 +424,7 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, budget_pct, &[1.0]);
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         inline_pass(
             p,
             &mut budget,
@@ -431,6 +432,7 @@ mod tests {
             &HloOptions::default(),
             &mut None,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         )
     }
@@ -477,6 +479,7 @@ mod tests {
         // Budget that fits roughly one medium inline but not both.
         let mut budget = Budget::new(c0, 100, &[1.0]);
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         let r = inline_pass(
             &mut p,
             &mut budget,
@@ -484,6 +487,7 @@ mod tests {
             &HloOptions::default(),
             &mut None,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         assert!(r.inlines >= 1);
@@ -574,6 +578,7 @@ mod tests {
         let mut budget = Budget::new(c0, 5000, &[1.0]);
         let mut ops = Some(2u64);
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         let r = inline_pass(
             &mut p,
             &mut budget,
@@ -581,6 +586,7 @@ mod tests {
             &HloOptions::default(),
             &mut ops,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         assert_eq!(r.inlines, 2);
@@ -596,6 +602,7 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 0, &[1.0]);
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         let r = inline_pass(
             &mut p,
             &mut budget,
@@ -603,6 +610,7 @@ mod tests {
             &HloOptions::default(),
             &mut None,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         assert_eq!(r.inlines, 0);
@@ -646,6 +654,7 @@ mod tests {
             let c0 = p.compile_cost();
             let mut budget = Budget::new(c0, 1000, &[1.0]);
             let mut cache = CallGraphCache::new();
+            let mut sums = SummaryCache::new();
             let r = inline_pass(
                 &mut p,
                 &mut budget,
@@ -653,6 +662,7 @@ mod tests {
                 &HloOptions::default(),
                 &mut None,
                 &mut cache,
+                &mut sums,
                 &mut Tracer::disabled(),
             );
             assert!(r.inlines >= 2, "{r:?}");
@@ -673,6 +683,7 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 2000, &[1.0, 1.0]);
         let mut cache = CallGraphCache::new();
+        let mut sums = SummaryCache::new();
         inline_pass(
             &mut p,
             &mut budget,
@@ -680,6 +691,7 @@ mod tests {
             &HloOptions::default(),
             &mut None,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         let scans_after_first = cache.rescans();
@@ -690,6 +702,7 @@ mod tests {
             &HloOptions::default(),
             &mut None,
             &mut cache,
+            &mut sums,
             &mut Tracer::disabled(),
         );
         // The second pass re-scanned only the invalidated caller (main),

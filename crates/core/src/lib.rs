@@ -62,6 +62,7 @@ pub use driver::{
     PartialOutcome, PartitionAction, ReusedPartition, Scope, CLONE_REF_BASE,
 };
 pub use hlo_analysis::CallGraphCache;
+pub use hlo_ipa::SummaryCache;
 pub use hlo_lint::{CheckLevel, Checker, Diagnostic, LintReport, Severity};
 pub use hlo_trace::json as trace_json;
 pub use hlo_trace::{

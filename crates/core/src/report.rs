@@ -85,6 +85,12 @@ pub struct HloReport {
     /// Functions annotated from the training-run profile database (0 for
     /// static-heuristic builds).
     pub profile_annotations: u64,
+    /// Function bodies the summary analysis scanned, over every partition
+    /// it ran on (placeholders included): each body once per edit.
+    pub summary_scans: u64,
+    /// Functions the summary analysis solved, over every partition: the
+    /// members of each SCC an edit reached, once per read that saw it.
+    pub summary_solves: u64,
     /// Per-stage wall-clock vs cumulative-work timings.
     pub stage_timings: Vec<StageTiming>,
     /// Wire-form keys [`HloReport::from_text`] did not recognize and
@@ -146,6 +152,8 @@ impl HloReport {
         n("checks_run", self.checks_run as u64);
         n("lint_time_us", self.lint_time_us);
         n("profile_annotations", self.profile_annotations);
+        n("summary_scans", self.summary_scans);
+        n("summary_solves", self.summary_solves);
         n("diagnostics_elided", self.diagnostics.len() as u64);
         for p in &self.passes {
             let _ = writeln!(
@@ -208,6 +216,8 @@ impl HloReport {
                 "checks_run" => r.checks_run = num(val)? as u32,
                 "lint_time_us" => r.lint_time_us = num(val)?,
                 "profile_annotations" => r.profile_annotations = num(val)?,
+                "summary_scans" => r.summary_scans = num(val)?,
+                "summary_solves" => r.summary_solves = num(val)?,
                 "diagnostics_elided" => {}
                 "pass" => {
                     let f: Vec<u64> = val.split_whitespace().map(num).collect::<Result<_, _>>()?;
@@ -310,6 +320,8 @@ mod tests {
             checks_run: 4,
             lint_time_us: 77,
             profile_annotations: 6,
+            summary_scans: 40,
+            summary_solves: 31,
             passes: vec![PassReport {
                 pass: 0,
                 inlines: 12,

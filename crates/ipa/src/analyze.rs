@@ -13,6 +13,12 @@
 //!    summaries" until its members stop changing. Acyclic components
 //!    converge in one pass; recursive ones in a few (the lattices are
 //!    finite and all merges are monotone).
+//!
+//! A component's solution depends only on its members' local facts and
+//! the solved summaries of the functions they call ([`solve_scc`] seeds
+//! every member afresh), which is what lets [`crate::SummaryCache`]
+//! re-solve just the components an edit reaches and still agree with
+//! [`Summaries::compute`] exactly.
 
 use crate::summary::{FuncSummary, ParamEscape, RetInfo, Summaries};
 use hlo_analysis::CallGraph;
@@ -139,16 +145,25 @@ enum RetSrc {
 }
 
 /// Everything the fixpoint needs about one function, computed once.
-struct LocalFacts {
+#[derive(Debug)]
+pub(crate) struct LocalFacts {
     /// Summary over the body alone (no callee facts merged yet).
-    base: FuncSummary,
+    pub(crate) base: FuncSummary,
     /// Direct calls in program order, with classified argument values.
     calls: Vec<(FuncId, Vec<PtrClass>)>,
     /// One entry per `Ret` carrying a value.
     ret_srcs: Vec<RetSrc>,
 }
 
-fn scan(name: &str, f: &Function) -> LocalFacts {
+impl LocalFacts {
+    /// The direct callees, in program order (repeats included).
+    pub(crate) fn callees(&self) -> impl Iterator<Item = FuncId> + '_ {
+        self.calls.iter().map(|(t, _)| *t)
+    }
+}
+
+/// The local scan of one function body: its [`LocalFacts`].
+pub(crate) fn scan(name: &str, f: &Function) -> LocalFacts {
     let class = pointer_classes(f);
     let mut base = FuncSummary::bottom(name, f.params);
     let mut calls = Vec::new();
@@ -440,58 +455,77 @@ fn refresh(facts: &LocalFacts, current: &[FuncSummary]) -> FuncSummary {
     s
 }
 
+/// Solves one SCC of `cg` in place: every member of `comp` is reseeded
+/// from its local facts, then the members are rebuilt in order, each from
+/// its facts plus the current summaries of its callees, until a round
+/// changes nothing. Callees outside `comp` must already be solved.
+/// Returns the members' previous summaries, in `comp` order.
+pub(crate) fn solve_scc(
+    comp: &[FuncId],
+    cg: &CallGraph,
+    facts: &[LocalFacts],
+    funcs: &mut [FuncSummary],
+) -> Vec<FuncSummary> {
+    let recursive = cg.is_recursive(comp);
+    let old = comp
+        .iter()
+        .map(|&f| {
+            let mut seed = facts[f.index()].base.clone();
+            seed.may_not_terminate |= recursive;
+            std::mem::replace(&mut funcs[f.index()], seed)
+        })
+        .collect();
+    loop {
+        let mut changed = false;
+        for &f in comp {
+            let mut next = refresh(&facts[f.index()], funcs);
+            if recursive {
+                next.may_not_terminate = true;
+            }
+            if next != funcs[f.index()] {
+                funcs[f.index()] = next;
+                changed = true;
+            }
+        }
+        if !changed {
+            return old;
+        }
+    }
+}
+
+/// The planted fault for the fuzz gate: erases every effect fact so
+/// summary-driven deletion and forwarding misfire observably.
+pub(crate) fn plant_fault(out: &mut Summaries) {
+    for s in &mut out.funcs {
+        s.writes_unknown = false;
+        s.calls_extern = false;
+        s.calls_indirect = false;
+        s.may_trap = false;
+        s.may_not_terminate = false;
+        s.syntactic_effects = false;
+        s.leaks_frame = false;
+        s.mod_globals.clear();
+        for w in &mut s.writes_params {
+            *w = false;
+        }
+    }
+}
+
 impl Summaries {
     /// Computes summaries for every function of `p` by the bottom-up SCC
     /// fixpoint described in the module docs. Deterministic: depends only
     /// on the program text, never on thread count or iteration timing.
+    /// This is the reference a [`crate::SummaryCache`] read must equal.
     pub fn compute(p: &Program, cg: &CallGraph) -> Summaries {
         let facts: Vec<LocalFacts> = p.iter_funcs().map(|(_, f)| scan(&f.name, f)).collect();
-        let mut funcs: Vec<FuncSummary> = facts.iter().map(|l| l.base.clone()).collect();
-        let sccs = cg.sccs(); // callees before callers
-        for comp in &sccs {
-            let recursive = comp.len() > 1
-                || comp
-                    .iter()
-                    .any(|&f| cg.in_recursion(std::slice::from_ref(comp), f));
-            if recursive {
-                for &f in comp {
-                    funcs[f.index()].may_not_terminate = true;
-                }
-            }
-            loop {
-                let mut changed = false;
-                for &f in comp {
-                    let mut next = refresh(&facts[f.index()], &funcs);
-                    if recursive {
-                        next.may_not_terminate = true;
-                    }
-                    if next != funcs[f.index()] {
-                        funcs[f.index()] = next;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
+        // Every slot is reseeded when its SCC is solved, callees first.
+        let mut funcs = vec![FuncSummary::bottom("", 0); facts.len()];
+        for comp in cg.sccs() {
+            solve_scc(comp, cg, &facts, &mut funcs);
         }
         let mut out = Summaries { funcs };
         if crate::fault::armed() {
-            // Planted fault for the fuzz gate: erase every effect fact so
-            // summary-driven deletion and forwarding misfire observably.
-            for s in &mut out.funcs {
-                s.writes_unknown = false;
-                s.calls_extern = false;
-                s.calls_indirect = false;
-                s.may_trap = false;
-                s.may_not_terminate = false;
-                s.syntactic_effects = false;
-                s.leaks_frame = false;
-                s.mod_globals.clear();
-                for w in &mut s.writes_params {
-                    *w = false;
-                }
-            }
+            plant_fault(&mut out);
         }
         out
     }

@@ -2,11 +2,12 @@
 //!
 //! Mirrors `hlo::fault`: the differential fuzz gate (`cargo fuzzgate`)
 //! needs proof that the oracle can *see* a wrong purity summary, not just
-//! that none was produced. When armed, [`crate::Summaries::compute`]
-//! deliberately erases every effect fact (MOD sets, extern/indirect call
-//! bits, trap, termination and syntactic-effect bits), claiming every
-//! function is pure — which makes pure-call deletion and cross-call store
-//! forwarding misfire observably on any program whose calls have effects.
+//! that none was produced. When armed, [`crate::Summaries::compute`] and
+//! every [`crate::SummaryCache`] read deliberately erase every effect
+//! fact (MOD sets, extern/indirect call bits, trap, termination and
+//! syntactic-effect bits), claiming every function is pure — which makes
+//! pure-call deletion and cross-call store forwarding misfire observably
+//! on any program whose calls have effects.
 //! The paper's syntactic test is a projection of the summaries
 //! ([`crate::FuncSummary::syntactic_removable`]), so the fault reaches
 //! `--no-ipa` builds too: their `pure_calls` stage deletes by it.

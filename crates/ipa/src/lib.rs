@@ -22,6 +22,18 @@
 //! * the lint battery (call-through-escaped-frame, infeasible
 //!   indirect-call target sets — `crates/lint`).
 //!
+//! [`Summaries::compute`] is the reference computation. The optimizer
+//! reads the summaries through a [`SummaryCache`] instead, one per
+//! partition build beside that partition's `CallGraphCache`: it keeps
+//! every function's local scan, re-scans only the bodies the call-graph
+//! cache re-scanned (their scan stamps moved) or that were appended, and
+//! re-solves only the SCCs those edits reach, callees first. Both share
+//! one per-SCC solve, so a read equals `compute` exactly; debug builds
+//! check every read against a fresh `compute` and panic on a difference.
+//! Names are refreshed on every read (static promotion renames a function
+//! without invalidating it), and the planted [`fault`] is applied to what
+//! each read returns.
+//!
 //! The analysis is sequential and allocation-order deterministic, so its
 //! output is byte-identical on every run by construction; the
 //! summaries serialize to a canonical text form ([`Summaries::to_text`] /
@@ -44,6 +56,8 @@
 pub mod fault;
 
 mod analyze;
+mod cache;
 mod summary;
 
+pub use cache::SummaryCache;
 pub use summary::{FuncSummary, ParamEscape, RetInfo, Summaries};

@@ -221,7 +221,7 @@ fn bit_list(bits: &[bool]) -> String {
 
 /// Per-function summaries for a whole program, indexed like
 /// `Program::funcs`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Summaries {
     /// One summary per function.
     pub funcs: Vec<FuncSummary>,

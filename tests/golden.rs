@@ -704,3 +704,83 @@ fn decision_reports_match_pinned_hashes() {
         mismatches.join("\n")
     );
 }
+
+/// Summary-analysis work per build: (program, configuration,
+/// `HloReport::summary_scans`, `HloReport::summary_solves`) for the 14
+/// suite programs as compiled, the 24-module edit program and the
+/// pure-call fixture, under the `default` and `no-ipa` configurations.
+/// The optimizer is serially deterministic, so these counts are exact:
+/// checked for equality, a change that moves one updates its row and
+/// says why.
+const WORK: &[(&str, &str, u64, u64)] = &[
+    ("008.espresso", "default", 63, 63),
+    ("008.espresso", "no-ipa", 63, 63),
+    ("022.li", "default", 35, 35),
+    ("022.li", "no-ipa", 35, 35),
+    ("023.eqntott", "default", 14, 14),
+    ("023.eqntott", "no-ipa", 14, 14),
+    ("026.compress", "default", 20, 20),
+    ("026.compress", "no-ipa", 19, 19),
+    ("072.sc", "default", 38, 38),
+    ("072.sc", "no-ipa", 36, 36),
+    ("085.gcc", "default", 33, 34),
+    ("085.gcc", "no-ipa", 31, 32),
+    ("099.go", "default", 45, 45),
+    ("099.go", "no-ipa", 45, 45),
+    ("124.m88ksim", "default", 31, 31),
+    ("124.m88ksim", "no-ipa", 29, 29),
+    ("126.gcc", "default", 36, 37),
+    ("126.gcc", "no-ipa", 35, 36),
+    ("129.compress", "default", 22, 22),
+    ("129.compress", "no-ipa", 21, 21),
+    ("130.li", "default", 43, 43),
+    ("130.li", "no-ipa", 38, 38),
+    ("132.ijpeg", "default", 20, 20),
+    ("132.ijpeg", "no-ipa", 20, 20),
+    ("134.perl", "default", 36, 36),
+    ("134.perl", "no-ipa", 36, 36),
+    ("147.vortex", "default", 42, 44),
+    ("147.vortex", "no-ipa", 40, 41),
+    ("edit24", "default", 1800, 1800),
+    ("edit24", "no-ipa", 1800, 1800),
+    ("purecalls", "default", 9, 9),
+    ("purecalls", "no-ipa", 7, 7),
+];
+
+#[test]
+fn summary_work_matches_pinned_counts() {
+    let mut rows: Vec<(String, &'static str, u64, u64)> = Vec::new();
+    for (name, p0, db) in pinned_programs() {
+        if db.is_some() || name.starts_with("fuzz") {
+            continue;
+        }
+        for (config, opts) in configurations() {
+            if config != "default" && config != "no-ipa" {
+                continue;
+            }
+            let mut p = p0.clone();
+            let r = hlo::optimize(&mut p, None, &opts);
+            rows.push((name.clone(), config, r.summary_scans, r.summary_solves));
+        }
+    }
+    let table: String = rows
+        .iter()
+        .map(|(n, c, scans, solves)| format!("    ({n:?}, {c:?}, {scans}, {solves}),\n"))
+        .collect();
+    let mismatches: Vec<String> = rows
+        .iter()
+        .zip(WORK)
+        .filter(|((n, c, a, b), &(gn, gc, ga, gb))| (n.as_str(), *c, *a, *b) != (gn, gc, ga, gb))
+        .map(|((n, c, a, b), &(_, _, ga, gb))| {
+            format!("{n} [{c}]: got {a} scans, {b} solves; pinned {ga}, {gb}")
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty() && rows.len() == WORK.len(),
+        "{} of {} pinned work rows differ ({} rows computed):\n{}\n\nfull table:\n{table}",
+        mismatches.len(),
+        WORK.len(),
+        rows.len(),
+        mismatches.join("\n")
+    );
+}

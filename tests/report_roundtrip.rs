@@ -78,15 +78,17 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
         any::<u64>(),
     );
     let ipa = (any::<u64>(), any::<u64>(), any::<u64>());
+    let work = (any::<u64>(), any::<u64>());
     let lists = (
         prop::collection::vec(pass_strategy(), 0..6),
         prop::collection::vec(stage_strategy(), 0..6),
     );
-    (counts, costs, ipa, lists).prop_map(|(counts, costs, ipa, lists)| {
+    (counts, costs, ipa, work, lists).prop_map(|(counts, costs, ipa, work, lists)| {
         let (inlines, clones, clone_replacements, deletions, pure_calls, outlines, straightened) =
             counts;
         let (initial_cost, final_cost, budget_limit, checks_run, lint_time_us, annotations) = costs;
         let (ipa_pure_calls, ipa_const_folds, ipa_store_forwards) = ipa;
+        let (summary_scans, summary_solves) = work;
         let (passes, stage_timings) = lists;
         HloReport {
             inlines,
@@ -105,6 +107,8 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
             checks_run,
             lint_time_us,
             profile_annotations: annotations,
+            summary_scans,
+            summary_solves,
             passes,
             stage_timings,
             diagnostics: Vec::new(),
