@@ -11,8 +11,6 @@ pub struct Dominators {
     /// Immediate dominator of each block (`idom[entry] == entry`);
     /// `None` for unreachable blocks.
     idom: Vec<Option<BlockId>>,
-    /// Reverse postorder of reachable blocks.
-    rpo: Vec<BlockId>,
 }
 
 impl Dominators {
@@ -72,7 +70,7 @@ impl Dominators {
                 }
             }
         }
-        Dominators { idom, rpo }
+        Dominators { idom }
     }
 
     /// Immediate dominator of `b` (`b` itself for the entry).
@@ -104,11 +102,6 @@ impl Dominators {
     /// True if `b` is reachable from the entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
         self.idom(b).is_some()
-    }
-
-    /// Blocks in reverse postorder (reachable only).
-    pub fn reverse_postorder(&self) -> &[BlockId] {
-        &self.rpo
     }
 }
 

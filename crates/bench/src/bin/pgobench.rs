@@ -15,10 +15,13 @@
 //!    reverse order into another must merge to byte-identical aggregate
 //!    text (within-generation merges are commutative saturating adds).
 //!
-//! Wire push throughput is measured after the sweep and written with the
-//! gate results to `BENCH_pgo.json`. The gate is behavior, not speed.
+//! Wire push throughput is measured after the sweep, as [`REPEATS`]
+//! bursts of pushes, and written (median and min–max over the bursts)
+//! with the gate results to `BENCH_pgo.json`. The gate is behavior, not
+//! speed.
 
 use hlo::HloOptions;
+use hlo_bench::{Spread, REPEATS};
 use hlo_pgo::{store::DEFAULT_CAP, ProfileStore};
 use hlo_profile::collect_profile;
 use hlo_serve::{Client, OptimizeRequest, ProfilePushRequest, ProfileSpec, ServeConfig, Server};
@@ -154,8 +157,8 @@ fn main() -> ExitCode {
     hlo_bench::rule(50);
 
     // Daemon-side accounting must agree with the sweep: one planted-drift
-    // re-optimization per program, three pushes each (two above plus the
-    // throughput burst below on the first program's key).
+    // re-optimization per program, two pushes each, plus the throughput
+    // bursts below on the first program's key.
     let programs = rows.len() as u64;
     const BURST: u64 = 200;
     let burst_req = ProfilePushRequest {
@@ -163,17 +166,22 @@ fn main() -> ExitCode {
         delta: push_payload,
         advance: 0,
     };
-    let t = Instant::now();
-    for _ in 0..BURST {
-        client.profile_push(&burst_req).expect("burst push");
-    }
-    let burst_us = t.elapsed().as_micros() as u64;
-    let pushes_per_sec = BURST as f64 / (burst_us as f64 / 1_000_000.0);
+    let bursts: Vec<u64> = (0..REPEATS)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..BURST {
+                client.profile_push(&burst_req).expect("burst push");
+            }
+            t.elapsed().as_micros() as u64
+        })
+        .collect();
+    let burst_us = Spread::of(&bursts);
+    let per_sec = |us: u64| BURST as f64 / (us.max(1) as f64 / 1_000_000.0);
 
     let stats = client.stats().expect("stats request");
     let accounting = stats.reoptimizations == programs
         && stats.stale_hits == programs
-        && stats.pgo_pushes == 2 * programs + BURST
+        && stats.pgo_pushes == 2 * programs + REPEATS as u64 * BURST
         && stats.pgo_programs == programs;
     if !accounting {
         eprintln!(
@@ -184,15 +192,16 @@ fn main() -> ExitCode {
     ok &= accounting;
 
     println!(
-        "push throughput: {BURST} pushes in {burst_us} us ({pushes_per_sec:.0}/s), \
-         accounting {}",
+        "push throughput: {REPEATS} bursts of {BURST} pushes in {burst_us} us \
+         ({:.0}/s on the median), accounting {}",
+        per_sec(burst_us.median),
         yn(accounting)
     );
 
     client.shutdown().expect("shutdown");
     server.wait();
 
-    let json = render_json(pushes_per_sec, burst_us, accounting, &rows);
+    let json = render_json(burst_us, per_sec, accounting, &rows);
     let path = "BENCH_pgo.json";
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("pgobench: cannot write {path}: {e}");
@@ -217,12 +226,26 @@ fn yn(b: bool) -> &'static str {
 }
 
 /// Hand-rolled JSON (the registry is offline; no serde). All strings are
-/// benchmark names — `[0-9A-Za-z._]` — so quoting suffices.
-fn render_json(pushes_per_sec: f64, burst_us: u64, accounting: bool, rows: &[Row]) -> String {
+/// benchmark names — `[0-9A-Za-z._]` — so quoting suffices. Push
+/// throughput is the median and range over the bursts; the slowest burst
+/// gives the lowest rate.
+fn render_json(
+    burst_us: Spread,
+    per_sec: impl Fn(u64) -> f64,
+    accounting: bool,
+    rows: &[Row],
+) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"pushes_per_sec\": {pushes_per_sec:.1},");
-    let _ = writeln!(s, "  \"burst_us\": {burst_us},");
+    let _ = writeln!(s, "  \"repeats\": {REPEATS},");
+    let _ = writeln!(
+        s,
+        "  \"pushes_per_sec\": {{\"median\": {:.1}, \"min\": {:.1}, \"max\": {:.1}}},",
+        per_sec(burst_us.median),
+        per_sec(burst_us.max),
+        per_sec(burst_us.min)
+    );
+    let _ = writeln!(s, "  \"burst_us\": {},", burst_us.json());
     let _ = writeln!(s, "  \"accounting\": {accounting},");
     let _ = writeln!(s, "  \"benchmarks\": [");
     for (i, r) in rows.iter().enumerate() {

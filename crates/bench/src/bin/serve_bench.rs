@@ -1,27 +1,32 @@
 //! `serve_bench` — the daemon-path gate (`cargo servebench`).
 //!
-//! Spawns an in-process `hlo-serve` daemon and replays all 14 suite
-//! programs through it twice — cold, then warm — each with its trained
-//! profile shipped over the wire. Three properties gate the run:
+//! Replays all 14 suite programs through an in-process `hlo-serve`
+//! daemon twice — cold, then warm — each with its trained profile
+//! shipped over the wire. The replay runs [`REPEATS`] times, each on a
+//! fresh daemon so cold stays cold. Three properties gate every repeat:
 //!
 //! 1. the daemon's cold output is **byte-identical** to a direct
 //!    in-process `hlo::optimize` call with the same inputs;
 //! 2. the warm replay is byte-identical to the cold one;
 //! 3. the warm replay hits the cache on every program (100% hit rate —
-//!    warm requests are pure lookups).
+//!    warm requests are pure lookups), and the daemon counts exactly one
+//!    hit and one miss per program.
 //!
-//! Latencies and the hit rate are printed and written to
-//! `BENCH_serve.json`. Warm speedup on this suite is large (lookups skip
-//! the optimizer entirely) but the gate is identity, not speed.
+//! Latencies (median and min–max over the repeats) and the hit rate are
+//! printed and written to `BENCH_serve.json`. Warm speedup on this suite
+//! is large (lookups skip the optimizer entirely) but the gate is
+//! identity, not speed.
 //!
-//! A fourth property gates the **edit-one-function** scenario: after a
-//! single-constant edit to one module of a many-module program, the
-//! daemon must splice every untouched partition from its store
-//! (`partition_hits > 0`, `partition_rebuilds` below the partition
-//! count), answer byte-identically to a from-scratch optimize, and do it
-//! in at most half the cold full-build latency.
+//! A fourth property gates the **edit-one-function** scenario, also
+//! repeated on fresh daemons: after a single-constant edit to one module
+//! of a many-module program, the daemon must splice every untouched
+//! partition from its store (`partition_hits > 0`, `partition_rebuilds`
+//! below the partition count, the same counts on every repeat) and
+//! answer byte-identically to a from-scratch optimize; its median latency
+//! must be at most half the median cold full-build latency.
 
 use hlo::HloOptions;
+use hlo_bench::{Spread, REPEATS};
 use hlo_profile::collect_profile;
 use hlo_serve::{
     mint_trace_id, Client, OptimizeRequest, ProfilePushRequest, ProfileSpec, ServeConfig, Server,
@@ -32,81 +37,113 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// One suite program: its request and the in-process ground truth.
+struct Case {
+    name: &'static str,
+    req: OptimizeRequest,
+    expect_ir: String,
+}
+
 struct Row {
     name: &'static str,
     cold_identical: bool,
     warm_identical: bool,
     warm_hit: bool,
-    cold_us: u64,
-    warm_us: u64,
+    cold_us: Vec<u64>,
+    warm_us: Vec<u64>,
 }
 
 fn main() -> ExitCode {
-    let server = match Server::spawn("127.0.0.1:0", ServeConfig::default()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve_bench: cannot spawn daemon: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = server.local_addr();
-    let mut client = Client::connect(addr).expect("connect to in-process daemon");
+    // Ground truth: the exact same inputs, optimized in-process once.
+    let cases: Vec<Case> = hlo_suite::all_benchmarks()
+        .iter()
+        .map(|b| {
+            let baseline = b.compile().expect("suite program compiles");
+            let (db, _) = collect_profile(&baseline, &[b.train_arg], &ExecOptions::default())
+                .expect("training run");
+            let opts = HloOptions::default();
+            let mut expect_program = baseline;
+            let _ = hlo::optimize(&mut expect_program, Some(&db), &opts);
+            Case {
+                name: b.name,
+                req: OptimizeRequest {
+                    options: opts,
+                    source: SourceKind::Minc(
+                        b.sources
+                            .iter()
+                            .map(|(n, s)| (n.to_string(), s.to_string()))
+                            .collect(),
+                    ),
+                    profile: ProfileSpec::Text(db.to_text()),
+                    train_arg: None,
+                    deadline_ms: None,
+                    trace_id: None,
+                },
+                expect_ir: hlo_ir::program_to_text(&expect_program),
+            }
+        })
+        .collect();
+    let mut rows: Vec<Row> = cases
+        .iter()
+        .map(|c| Row {
+            name: c.name,
+            cold_identical: true,
+            warm_identical: true,
+            warm_hit: true,
+            cold_us: Vec::new(),
+            warm_us: Vec::new(),
+        })
+        .collect();
 
-    println!("serve_bench: suite through hlod at {addr} (gate: byte-identity + warm hits)");
     println!(
-        "{:<14} {:>12} {:>12} {:>8} {:>5} {:>5}",
-        "program", "cold(us)", "warm(us)", "speedup", "cold=", "warm="
+        "serve_bench: suite through hlod, {REPEATS} repeats on fresh daemons \
+         (gate: byte-identity + warm hits)"
     );
-    hlo_bench::rule(62);
-
-    let mut rows: Vec<Row> = Vec::new();
     let mut ok = true;
-    for b in hlo_suite::all_benchmarks() {
-        // Ground truth: the exact same inputs, optimized in-process.
-        let baseline = b.compile().expect("suite program compiles");
-        let (db, _) = collect_profile(&baseline, &[b.train_arg], &ExecOptions::default())
-            .expect("training run");
-        let profile_text = db.to_text();
-        let opts = HloOptions::default();
-        let mut expect_program = baseline;
-        let _ = hlo::optimize(&mut expect_program, Some(&db), &opts);
-        let expect_ir = hlo_ir::program_to_text(&expect_program);
-
-        let req = OptimizeRequest {
-            options: opts,
-            source: SourceKind::Minc(
-                b.sources
-                    .iter()
-                    .map(|(n, s)| (n.to_string(), s.to_string()))
-                    .collect(),
-            ),
-            profile: ProfileSpec::Text(profile_text),
-            train_arg: None,
-            deadline_ms: None,
-            trace_id: None,
+    let mut hits = 0;
+    for _ in 0..REPEATS {
+        let server = match Server::spawn("127.0.0.1:0", ServeConfig::default()) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("serve_bench: cannot spawn daemon: {e}");
+                return ExitCode::FAILURE;
+            }
         };
-        let t = Instant::now();
-        let cold = client.optimize(&req).expect("cold request");
-        let cold_us = t.elapsed().as_micros() as u64;
-        let t = Instant::now();
-        let warm = client.optimize(&req).expect("warm request");
-        let warm_us = t.elapsed().as_micros() as u64;
+        let mut client =
+            Client::connect(server.local_addr()).expect("connect to in-process daemon");
+        for (row, case) in rows.iter_mut().zip(&cases) {
+            let t = Instant::now();
+            let cold = client.optimize(&case.req).expect("cold request");
+            row.cold_us.push(t.elapsed().as_micros() as u64);
+            let t = Instant::now();
+            let warm = client.optimize(&case.req).expect("warm request");
+            row.warm_us.push(t.elapsed().as_micros() as u64);
+            row.cold_identical &= cold.ir_text == case.expect_ir && !cold.outcome.hit;
+            row.warm_identical &= warm.ir_text == cold.ir_text;
+            row.warm_hit &= warm.outcome.hit && warm.outcome.func_misses == 0;
+        }
+        let stats = client.stats().expect("stats request");
+        let programs = cases.len() as u64;
+        ok &= stats.hits == programs && stats.misses == programs;
+        hits += stats.hits;
+        client.shutdown().expect("shutdown");
+        server.wait();
+    }
 
-        let row = Row {
-            name: b.name,
-            cold_identical: cold.ir_text == expect_ir && !cold.outcome.hit,
-            warm_identical: warm.ir_text == cold.ir_text,
-            warm_hit: warm.outcome.hit && warm.outcome.func_misses == 0,
-            cold_us,
-            warm_us,
-        };
+    println!(
+        "{:<14} {:>22} {:>22} {:>8} {:>5} {:>5}",
+        "program", "cold us: med (range)", "warm us: med (range)", "speedup", "cold=", "warm="
+    );
+    hlo_bench::rule(82);
+    for row in &rows {
         ok &= row.cold_identical && row.warm_identical && row.warm_hit;
+        let (cold, warm) = (Spread::of(&row.cold_us), Spread::of(&row.warm_us));
         println!(
-            "{:<14} {:>12} {:>12} {:>7.1}x {:>5} {:>5}",
+            "{:<14} {:>22} {:>22} {:>7.1}x {:>5} {:>5}",
             row.name,
-            row.cold_us,
-            row.warm_us,
-            row.cold_us as f64 / row.warm_us.max(1) as f64,
+            cold.to_string(),
+            warm.to_string(),
+            cold.median as f64 / warm.median.max(1) as f64,
             if row.cold_identical { "yes" } else { "NO" },
             if row.warm_identical && row.warm_hit {
                 "yes"
@@ -114,24 +151,24 @@ fn main() -> ExitCode {
                 "NO"
             }
         );
-        rows.push(row);
     }
-    hlo_bench::rule(62);
+    hlo_bench::rule(82);
 
-    let stats = client.stats().expect("stats request");
-    let hits_expected = rows.len() as u64;
-    let hit_rate = stats.hits as f64 / hits_expected as f64;
-    let cold_total: u64 = rows.iter().map(|r| r.cold_us).sum();
-    let warm_total: u64 = rows.iter().map(|r| r.warm_us).sum();
+    let hit_rate = hits as f64 / (REPEATS * cases.len()) as f64;
+    let total = |us: fn(&Row) -> &Vec<u64>| {
+        let sums: Vec<u64> = (0..REPEATS)
+            .map(|r| rows.iter().map(|row| us(row)[r]).sum())
+            .collect();
+        Spread::of(&sums)
+    };
+    let cold_total = total(|row| &row.cold_us);
+    let warm_total = total(|row| &row.warm_us);
     println!(
-        "total: {cold_total} us cold, {warm_total} us warm ({:.1}x), warm hit rate {:.0}%",
-        cold_total as f64 / warm_total.max(1) as f64,
+        "total: {cold_total} us cold, {warm_total} us warm ({:.1}x on medians), \
+         warm hit rate {:.0}%",
+        cold_total.median as f64 / warm_total.median.max(1) as f64,
         hit_rate * 100.0
     );
-    ok &= stats.hits == hits_expected && stats.misses == hits_expected;
-
-    client.shutdown().expect("shutdown");
-    server.wait();
 
     let restart_warm = restart_warmth_probe();
     println!(
@@ -300,8 +337,8 @@ fn observability_probe() -> bool {
 
 /// The edit-one-function scenario's measurements.
 struct EditRow {
-    cold_us: u64,
-    warm_us: u64,
+    cold_us: Spread,
+    warm_us: Spread,
     partitions: u64,
     hits: u64,
     rebuilds: u64,
@@ -328,22 +365,25 @@ fn edit_sources(modules: usize, bumped: Option<usize>) -> Vec<(String, String)> 
         .collect()
 }
 
-/// Edit-one-function: cold-build a 12-module program, edit one constant
-/// in one module, and require the warm rebuild to splice (hits > 0,
-/// rebuilds < partitions), match a from-scratch optimize byte-for-byte,
-/// and land in at most half the cold latency.
+/// Edit-one-function: on a fresh daemon per repeat, cold-build a
+/// 12-module program, edit one constant in one module, and require every
+/// warm rebuild to splice (hits > 0, rebuilds < partitions, the same
+/// counts each repeat) and to match a from-scratch optimize byte for
+/// byte; the median warm latency must be at most half the median cold
+/// one.
 fn warm_edit_probe() -> (bool, EditRow) {
     const MODULES: usize = 12;
     let base = edit_sources(MODULES, None);
     let edited = edit_sources(MODULES, Some(MODULES / 2));
     println!(
-        "edit-one-function: 1 of {MODULES} modules edited (gate: splice + identity + <=0.5x cold)"
+        "edit-one-function: 1 of {MODULES} modules edited, {REPEATS} repeats \
+         (gate: splice + identity + median <=0.5x cold)"
     );
     println!(
-        "{:>12} {:>12} {:>8} {:>6} {:>9} {:>5}",
-        "cold(us)", "edit(us)", "speedup", "hits", "rebuilds", "ok"
+        "{:>22} {:>22} {:>8} {:>6} {:>9} {:>5}",
+        "cold us: med (range)", "edit us: med (range)", "speedup", "hits", "rebuilds", "ok"
     );
-    hlo_bench::rule(55);
+    hlo_bench::rule(77);
 
     let opts = HloOptions {
         scope: hlo::Scope::WithinModule,
@@ -355,6 +395,7 @@ fn warm_edit_probe() -> (bool, EditRow) {
         let _ = hlo::optimize(&mut p, None, &opts);
         hlo_ir::program_to_text(&p)
     };
+    let (base_ir, edited_ir) = (truth(&base), truth(&edited));
     let request = |srcs: &[(String, String)]| OptimizeRequest {
         options: opts.clone(),
         source: SourceKind::Minc(srcs.to_vec()),
@@ -363,35 +404,49 @@ fn warm_edit_probe() -> (bool, EditRow) {
         train_arg: None,
         trace_id: None,
     };
-    let server = Server::spawn("127.0.0.1:0", ServeConfig::default()).expect("spawn daemon");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    let t = Instant::now();
-    let cold = client.optimize(&request(&base)).expect("cold build");
-    let cold_us = t.elapsed().as_micros() as u64;
-    let t = Instant::now();
-    let warm = client.optimize(&request(&edited)).expect("warm edit");
-    let warm_us = t.elapsed().as_micros() as u64;
-    client.shutdown().expect("shutdown");
-    server.wait();
+    let mut cold_us = Vec::new();
+    let mut warm_us = Vec::new();
+    let mut counts = Vec::new();
+    let mut identical = true;
+    for _ in 0..REPEATS {
+        let server = Server::spawn("127.0.0.1:0", ServeConfig::default()).expect("spawn daemon");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let t = Instant::now();
+        let cold = client.optimize(&request(&base)).expect("cold build");
+        cold_us.push(t.elapsed().as_micros() as u64);
+        let t = Instant::now();
+        let warm = client.optimize(&request(&edited)).expect("warm edit");
+        warm_us.push(t.elapsed().as_micros() as u64);
+        client.shutdown().expect("shutdown");
+        server.wait();
+        identical &= cold.ir_text == base_ir && warm.ir_text == edited_ir;
+        counts.push((
+            cold.outcome.partition_rebuilds,
+            warm.outcome.partition_hits,
+            warm.outcome.partition_rebuilds,
+        ));
+    }
 
+    let (partitions, hits, rebuilds) = counts[0];
     let row = EditRow {
-        cold_us,
-        warm_us,
-        partitions: cold.outcome.partition_rebuilds,
-        hits: warm.outcome.partition_hits,
-        rebuilds: warm.outcome.partition_rebuilds,
-        identical: cold.ir_text == truth(&base) && warm.ir_text == truth(&edited),
+        cold_us: Spread::of(&cold_us),
+        warm_us: Spread::of(&warm_us),
+        partitions,
+        hits,
+        rebuilds,
+        identical,
     };
     let ok = row.identical
+        && counts.iter().all(|&c| c == counts[0])
         && row.hits > 0
         && row.rebuilds < row.partitions
-        && row.warm_us * 2 <= row.cold_us;
+        && row.warm_us.median * 2 <= row.cold_us.median;
     println!(
-        "{:>12} {:>12} {:>7.1}x {:>6} {:>9} {:>5}",
-        row.cold_us,
-        row.warm_us,
-        row.cold_us as f64 / row.warm_us.max(1) as f64,
+        "{:>22} {:>22} {:>7.1}x {:>6} {:>9} {:>5}",
+        row.cold_us.to_string(),
+        row.warm_us.to_string(),
+        row.cold_us.median as f64 / row.warm_us.median.max(1) as f64,
         row.hits,
         row.rebuilds,
         if ok { "yes" } else { "NO" }
@@ -403,25 +458,27 @@ fn warm_edit_probe() -> (bool, EditRow) {
 }
 
 /// Hand-rolled JSON (the registry is offline; no serde). All strings are
-/// benchmark names — `[0-9A-Za-z._]` — so quoting suffices.
+/// benchmark names — `[0-9A-Za-z._]` — so quoting suffices. Every timing
+/// is a [`Spread`] object over the repeats.
 fn render_json(
     hit_rate: f64,
-    cold_total: u64,
-    warm_total: u64,
+    cold_total: Spread,
+    warm_total: Spread,
     restart_warm: bool,
     rows: &[Row],
     edit: &EditRow,
 ) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
+    let _ = writeln!(s, "  \"repeats\": {REPEATS},");
     let _ = writeln!(s, "  \"warm_hit_rate\": {hit_rate:.4},");
     let _ = writeln!(s, "  \"restart_warm\": {restart_warm},");
-    let _ = writeln!(s, "  \"cold_total_us\": {cold_total},");
-    let _ = writeln!(s, "  \"warm_total_us\": {warm_total},");
+    let _ = writeln!(s, "  \"cold_total_us\": {},", cold_total.json());
+    let _ = writeln!(s, "  \"warm_total_us\": {},", warm_total.json());
     let _ = writeln!(
         s,
         "  \"warm_speedup\": {:.4},",
-        cold_total as f64 / warm_total.max(1) as f64
+        cold_total.median as f64 / warm_total.median.max(1) as f64
     );
     let _ = writeln!(s, "  \"benchmarks\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -430,8 +487,8 @@ fn render_json(
             "    {{\"name\": \"{}\", \"cold_us\": {}, \"warm_us\": {}, \
              \"cold_identical\": {}, \"warm_identical\": {}, \"warm_hit\": {}}}{}",
             r.name,
-            r.cold_us,
-            r.warm_us,
+            Spread::of(&r.cold_us).json(),
+            Spread::of(&r.warm_us).json(),
             r.cold_identical,
             r.warm_identical,
             r.warm_hit,
@@ -443,7 +500,12 @@ fn render_json(
         s,
         "  \"warm_edit\": {{\"cold_us\": {}, \"warm_us\": {}, \"partitions\": {}, \
          \"partition_hits\": {}, \"partition_rebuilds\": {}, \"identical\": {}}}",
-        edit.cold_us, edit.warm_us, edit.partitions, edit.hits, edit.rebuilds, edit.identical
+        edit.cold_us.json(),
+        edit.warm_us.json(),
+        edit.partitions,
+        edit.hits,
+        edit.rebuilds,
+        edit.identical
     );
     let _ = write!(s, "}}");
     s

@@ -175,6 +175,60 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
+/// How many times `cargo servebench` and `cargo pgobench` repeat each
+/// timed section: a single pass cannot tell a regression from host drift.
+pub const REPEATS: usize = 5;
+
+/// The median and the range of one timed section's repeats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Spread {
+    /// The middle sample (the mean of the two middle ones for an even
+    /// count).
+    pub median: u64,
+    /// The smallest sample.
+    pub min: u64,
+    /// The largest sample.
+    pub max: u64,
+}
+
+impl Spread {
+    /// Summarizes `samples`.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty.
+    pub fn of(samples: &[u64]) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        let mut s = samples.to_vec();
+        s.sort_unstable();
+        let n = s.len();
+        let median = if n % 2 == 1 {
+            s[n / 2]
+        } else {
+            (s[n / 2 - 1] + s[n / 2]) / 2
+        };
+        Spread {
+            median,
+            min: s[0],
+            max: s[n - 1],
+        }
+    }
+
+    /// The JSON object `{"median": m, "min": a, "max": b}`.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"median\": {}, \"min\": {}, \"max\": {}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+impl std::fmt::Display for Spread {
+    /// `median (min-max)`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} ({}-{})", self.median, self.min, self.max)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +238,15 @@ mod tests {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
         assert_eq!(geomean(&[]), 1.0);
         assert!((geomean(&[3.0]) - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn spread_takes_the_middle_and_the_ends() {
+        let odd = Spread::of(&[9, 1, 5, 7, 3]);
+        assert_eq!((odd.median, odd.min, odd.max), (5, 1, 9));
+        assert_eq!(Spread::of(&[4, 1, 2, 8]).median, 3);
+        assert_eq!(Spread::of(&[6]).to_string(), "6 (6-6)");
+        assert_eq!(odd.json(), "{\"median\": 5, \"min\": 1, \"max\": 9}");
     }
 
     #[test]

@@ -5,7 +5,6 @@
 /// the budget is used up in the first pass".
 #[derive(Debug, Clone, PartialEq)]
 pub struct Budget {
-    initial: u64,
     limit: u64,
     current: u64,
     stages: Vec<u64>,
@@ -30,16 +29,10 @@ impl Budget {
             .map(|f| initial_cost + (headroom * f.clamp(0.0, 1.0)) as u64)
             .collect();
         Budget {
-            initial: initial_cost,
             limit,
             current: initial_cost,
             stages,
         }
-    }
-
-    /// Cost when optimization started.
-    pub fn initial(&self) -> u64 {
-        self.initial
     }
 
     /// The overall ceiling `B`.
@@ -78,80 +71,6 @@ impl Budget {
     /// "optimize and recalibrate" steps do).
     pub fn recalibrate(&mut self, measured: u64) {
         self.current = measured;
-    }
-}
-
-/// The hierarchical budget: one independent [`Budget`] per cache
-/// partition, each sized from that partition's own share of the program
-/// cost. The driver optimizes partitions one at a time against their own
-/// budget, so a partition's plan is a pure function of its members — the
-/// precondition for function-grain result reuse. The driver sizes each
-/// budget once that partition's own input-stage cleanup is done and adds
-/// it with [`BudgetSet::push`], so the set grows in partition order.
-///
-/// The split mirrors the proportional headroom split the clone and
-/// inline planners apply within a pass: every partition gets the same growth
-/// *percentage*, so headroom is proportional to partition cost and the
-/// per-partition limits sum to (within integer truncation of) the
-/// whole-program limit.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BudgetSet {
-    budgets: Vec<Budget>,
-}
-
-impl BudgetSet {
-    /// One budget per partition: `costs[i]` is partition `i`'s current
-    /// compile cost `Σ size(R)²` over its members. Percentage and stage
-    /// fractions are shared — the split depends only on each partition's
-    /// own cost, never on visit order.
-    pub fn new(costs: &[u64], budget_percent: u64, stage_fractions: &[f64]) -> Self {
-        BudgetSet {
-            budgets: costs
-                .iter()
-                .map(|&c| Budget::new(c, budget_percent, stage_fractions))
-                .collect(),
-        }
-    }
-
-    /// Adds the next partition's budget.
-    pub fn push(&mut self, budget: Budget) {
-        self.budgets.push(budget);
-    }
-
-    /// Number of partitions.
-    pub fn len(&self) -> usize {
-        self.budgets.len()
-    }
-
-    /// True when there are no partitions.
-    pub fn is_empty(&self) -> bool {
-        self.budgets.is_empty()
-    }
-
-    /// Partition `i`'s budget.
-    pub fn get(&self, i: usize) -> &Budget {
-        &self.budgets[i]
-    }
-
-    /// Partition `i`'s budget, mutable.
-    pub fn get_mut(&mut self, i: usize) -> &mut Budget {
-        &mut self.budgets[i]
-    }
-
-    /// Sum of the per-partition ceilings — the hierarchical analogue of
-    /// the whole-program `B` reported to the user.
-    pub fn total_limit(&self) -> u64 {
-        self.budgets.iter().map(|b| b.limit()).sum()
-    }
-
-    /// Sum of the per-partition initial costs.
-    pub fn total_initial(&self) -> u64 {
-        self.budgets.iter().map(|b| b.initial()).sum()
-    }
-
-    /// Sum of the per-partition current estimates.
-    pub fn total_current(&self) -> u64 {
-        self.budgets.iter().map(|b| b.current()).sum()
     }
 }
 
@@ -208,54 +127,5 @@ mod tests {
     #[should_panic(expected = "at least one budget stage")]
     fn empty_stages_panic() {
         let _ = Budget::new(1, 1, &[]);
-    }
-
-    /// Per-partition headroom is `cost_i · β/100` truncated, so the sum of
-    /// partition limits equals the whole-program limit up to one unit of
-    /// truncation per partition — and exactly when costs divide evenly.
-    #[test]
-    fn partition_shares_sum_to_global_budget() {
-        let costs = [1000u64, 2500, 400, 100];
-        let set = BudgetSet::new(&costs, 100, &[0.25, 0.5, 0.75, 1.0]);
-        let total: u64 = costs.iter().sum();
-        let global = Budget::new(total, 100, &[0.25, 0.5, 0.75, 1.0]);
-        // β=100 doubles every cost exactly: no truncation anywhere.
-        assert_eq!(set.total_limit(), global.limit());
-        assert_eq!(set.total_initial(), total);
-        // A non-integral β may truncate per partition, but never by more
-        // than one unit each.
-        let set33 = BudgetSet::new(&costs, 33, &[1.0]);
-        let global33 = Budget::new(total, 33, &[1.0]);
-        assert!(set33.total_limit() <= global33.limit());
-        assert!(set33.total_limit() + costs.len() as u64 > global33.limit());
-    }
-
-    /// Each partition's budget is a pure function of its own cost: permuting
-    /// the partition order permutes the budgets and nothing else.
-    #[test]
-    fn partition_shares_independent_of_visit_order() {
-        let costs = [700u64, 50, 1300, 9, 9];
-        let fractions = [0.25, 0.5, 0.75, 1.0];
-        let forward = BudgetSet::new(&costs, 150, &fractions);
-        let mut rev = costs;
-        rev.reverse();
-        let backward = BudgetSet::new(&rev, 150, &fractions);
-        for i in 0..costs.len() {
-            assert_eq!(forward.get(i), backward.get(costs.len() - 1 - i));
-        }
-        assert_eq!(forward.total_limit(), backward.total_limit());
-    }
-
-    /// A partition with zero headroom admits no growth at any stage.
-    #[test]
-    fn zero_budget_partition_is_closed() {
-        let set = BudgetSet::new(&[500, 0], 100, &[0.5, 1.0]);
-        let empty = set.get(1);
-        assert!(!empty.open());
-        assert!(empty.fits(0, 0));
-        assert!(!empty.fits(1, 1));
-        // The sibling partition is unaffected.
-        assert!(set.get(0).open());
-        assert!(set.get(0).fits(0, 250));
     }
 }

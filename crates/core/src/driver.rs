@@ -8,7 +8,7 @@
 //! only where an edit reached. Every stage runs on the calling thread, in
 //! function and partition order.
 
-use crate::budget::{Budget, BudgetSet};
+use crate::budget::Budget;
 use crate::cloner::{clone_pass, CloneDb};
 use crate::delete::{delete_unreachable, empty_body, has_empty_body};
 use crate::inliner::inline_pass;
@@ -272,16 +272,18 @@ pub fn optimize_traced(
     optimize_partial(p, profile, opts, None, tracer).report
 }
 
-/// Sentinel base for function references into a cached partition's own
-/// clones. When the daemon stores a partition's optimized bodies it
-/// rewrites every reference to a clone the partition itself created as
-/// `CLONE_REF_BASE + position` (position in creation order); at splice
-/// time [`optimize_partial`] rebases those onto the ids the clones
-/// actually receive in the new program. References below the base are
-/// input-function ids, which are stable across edits of *other* cones.
+/// Sentinel base for function references into a finished partition's own
+/// clones. A partition's stored form writes every reference to a clone
+/// the partition itself created as `CLONE_REF_BASE + position` (position
+/// in creation order); at splice time [`optimize_partial`] rebases those
+/// onto the ids the clones actually receive in the program. References
+/// below the base are input-function ids, which are stable across edits
+/// of *other* cones.
 pub const CLONE_REF_BASE: u32 = 0x8000_0000;
 
-/// A cached partition's final state, as replayed by a [`PartitionAction::Reuse`].
+/// A finished partition's final state: what a rebuild produces, what
+/// [`optimize_partial`] hands back for the daemon to store, and what a
+/// later [`PartitionAction::Reuse`] replays.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReusedPartition {
     /// `(input id, final optimized body, alive)` for every member, where
@@ -304,33 +306,21 @@ pub enum PartitionAction {
     Reuse(ReusedPartition),
 }
 
-/// What a partial build did, in enough detail for the daemon to populate
-/// its partition cache from a rebuild and to report counters.
+/// Result of [`optimize_partial`]: the usual report plus the partitions
+/// the build produced.
 #[derive(Debug, Clone, Default)]
-pub struct BuildLog {
-    /// Cache-partition membership, in partition order (input ids only).
-    pub partitions: Vec<Vec<FuncId>>,
-    /// Every clone in the final program as `(id, partition index)`, in
-    /// creation order — spliced and freshly created alike.
-    pub clones: Vec<(FuncId, usize)>,
-    /// Each partition's budget limit (its share of the global budget).
-    pub partition_limits: Vec<u64>,
-    /// Whether each partition was rebuilt (`true`) or spliced (`false`).
-    pub rebuilt: Vec<bool>,
+pub struct PartialOutcome {
+    /// The optimization report (same shape as [`optimize`]'s).
+    pub report: HloReport,
+    /// With a plan, one entry per partition in partition order: the
+    /// stored form of each rebuilt partition, `None` for each spliced
+    /// one. Without a plan, empty.
+    pub rebuilt: Vec<Option<ReusedPartition>>,
     /// True when the build renamed or relinked a global (static-global
     /// promotion during inlining/cloning). Such a build mutates state
     /// outside its partitions' bodies, so the daemon must not populate
     /// its partition cache from it.
     pub globals_mutated: bool,
-}
-
-/// Result of [`optimize_partial`]: the usual report plus the build log.
-#[derive(Debug, Clone, Default)]
-pub struct PartialOutcome {
-    /// The optimization report (same shape as [`optimize`]'s).
-    pub report: HloReport,
-    /// The partition-grain account of what happened.
-    pub log: BuildLog,
 }
 
 /// The partition-at-a-time driver underneath [`optimize_traced`].
@@ -362,14 +352,19 @@ pub struct PartialOutcome {
 ///   entry really came from a byte-identical cone under the same options
 ///   and budget share.
 ///
-/// Outline builds (`enable_outline`) are one whole-program partition —
-/// outlining creates functions before partitioning is useful — built in
-/// place, and reject a plan.
+/// With a plan, each rebuilt partition's stored form is copied once,
+/// before its splice, into [`PartialOutcome::rebuilt`]; a reused entry's
+/// bodies move from the plan into the program. Without a plan nothing is
+/// copied.
+///
+/// Outline builds (`enable_outline`) are one partition holding every
+/// input function — outlining creates functions before partitioning is
+/// useful — so their sub-program has no placeholders; they reject a plan.
 pub fn optimize_partial(
     p: &mut Program,
     profile: Option<&ProfileDb>,
     opts: &HloOptions,
-    plan: Option<&[PartitionAction]>,
+    plan: Option<Vec<PartitionAction>>,
     tracer: &mut Tracer,
 ) -> PartialOutcome {
     let span_base = tracer.span_count();
@@ -377,7 +372,7 @@ pub fn optimize_partial(
     let root = tracer.push("optimize");
 
     // Static-global promotion renames globals program-wide; snapshot the
-    // table so the build log can report any mutation.
+    // table so the outcome can report any mutation.
     let globals_before: Vec<(String, Linkage)> = p
         .globals
         .iter()
@@ -387,7 +382,7 @@ pub fn optimize_partial(
     // Cache partitions come from the *input* program.
     let partitions: Vec<Vec<FuncId>> = if opts.enable_outline {
         assert!(plan.is_none(), "outline builds are not partition-cacheable");
-        Vec::new()
+        vec![(0..p.funcs.len() as u32).map(FuncId).collect()]
     } else {
         CallGraph::build(p)
             .cache_partitions()
@@ -395,19 +390,18 @@ pub fn optimize_partial(
             .map(|part| part.funcs)
             .collect()
     };
-    if let Some(plan) = plan {
-        assert_eq!(
-            plan.len(),
-            partitions.len(),
-            "plan must cover every cache partition"
-        );
-    }
+    let keep = plan.is_some();
+    let plan = plan.unwrap_or_else(|| vec![PartitionAction::Rebuild; partitions.len()]);
+    assert_eq!(
+        plan.len(),
+        partitions.len(),
+        "plan must cover every cache partition"
+    );
 
     let mut build = Build {
         opts,
         ck: Checker::new(opts.check),
         report: HloReport::default(),
-        budgets: BudgetSet::default(),
         ops_left: opts.max_ops,
         passes: (0..opts.passes)
             .map(|pass| PassReport {
@@ -445,59 +439,47 @@ pub fn optimize_partial(
     tracer.leaf_seq("annotate", t.elapsed());
     build.ck.check(p, "annotate");
 
-    let mut log = BuildLog::default();
-    if opts.enable_outline {
+    let mut rebuilt = Vec::new();
+    for (pi, (members, action)) in partitions.iter().zip(plan).enumerate() {
         let t = Instant::now();
-        let span = tracer.push("partition:0");
-        let first_clone = build.partition(p, 0, tracer);
+        let span = tracer.push(&format!("partition:{pi}"));
+        let finished = match action {
+            PartitionAction::Reuse(stored) => {
+                // A spliced partition's budget is sized from its input
+                // members, which never ran the pipeline here.
+                let cost = members
+                    .iter()
+                    .map(|&f| {
+                        let s = p.func(f).size();
+                        s * s
+                    })
+                    .sum();
+                build.report.initial_cost += cost;
+                build.report.budget_limit +=
+                    Budget::new(cost, opts.budget_percent, &opts.stage_fractions).limit();
+                if keep {
+                    rebuilt.push(None);
+                }
+                stored
+            }
+            PartitionAction::Rebuild => {
+                let mut sub = extract_sub_program(p, members);
+                let placeholders = (sub.funcs.len() - members.len()) as u64;
+                build.partition(&mut sub, placeholders, tracer);
+                let finished = finish_sub_program(p, sub, members);
+                if keep {
+                    rebuilt.push(Some(finished.clone()));
+                }
+                finished
+            }
+        };
+        splice_partition(p, finished);
         tracer.pop(span, t.elapsed());
-        log.partitions = vec![(0..first_clone as u32).map(FuncId).collect()];
-        log.clones = (first_clone as u32..p.funcs.len() as u32)
-            .map(|id| (FuncId(id), 0))
-            .collect();
-        log.rebuilt.push(true);
-    } else {
-        for (pi, members) in partitions.iter().enumerate() {
-            let t = Instant::now();
-            let span = tracer.push(&format!("partition:{pi}"));
-            let finished = match plan.map_or(&PartitionAction::Rebuild, |pl| &pl[pi]) {
-                PartitionAction::Reuse(stored) => {
-                    // A spliced partition's budget is sized from its
-                    // input members, which never ran the pipeline here.
-                    let cost = members
-                        .iter()
-                        .map(|&f| {
-                            let s = p.func(f).size();
-                            s * s
-                        })
-                        .sum();
-                    build.report.initial_cost += cost;
-                    build.budgets.push(Budget::new(
-                        cost,
-                        opts.budget_percent,
-                        &opts.stage_fractions,
-                    ));
-                    log.rebuilt.push(false);
-                    stored.clone()
-                }
-                PartitionAction::Rebuild => {
-                    let mut sub = extract_sub_program(p, members);
-                    let placeholders = (sub.funcs.len() - members.len()) as u64;
-                    build.partition(&mut sub, placeholders, tracer);
-                    log.rebuilt.push(true);
-                    finish_sub_program(p, sub, members)
-                }
-            };
-            splice_partition(p, finished, pi, &mut log);
-            tracer.pop(span, t.elapsed());
-        }
-        log.partitions = partitions;
     }
 
     let Build {
         ck,
         mut report,
-        budgets,
         passes,
         pass_entered,
         ..
@@ -511,8 +493,6 @@ pub fn optimize_partial(
             report.passes.push(pr);
         }
     }
-    report.budget_limit = budgets.total_limit();
-    log.partition_limits = (0..budgets.len()).map(|i| budgets.get(i).limit()).collect();
 
     tracer.pop(root, run_t.elapsed());
     report.final_cost = p.compile_cost();
@@ -529,38 +509,40 @@ pub fn optimize_partial(
     report.lint_time_us = ck.elapsed().as_micros() as u64;
     report.diagnostics = ck.into_report().diags;
 
-    log.globals_mutated = p.globals.len() != globals_before.len()
+    let globals_mutated = p.globals.len() != globals_before.len()
         || p.globals
             .iter()
             .zip(&globals_before)
             .any(|(g, (name, linkage))| g.name != *name || g.linkage != *linkage);
 
-    PartialOutcome { report, log }
+    PartialOutcome {
+        report,
+        rebuilt,
+        globals_mutated,
+    }
 }
 
 /// The state one build threads through its partitions, in partition
-/// order: the verify-each checker, the report's counters, the partition
-/// budgets, the Figure 8 operation counter (one global sequential count)
-/// and the per-pass rows every partition adds to.
+/// order: the verify-each checker, the report's counters (the budget
+/// limit among them: the sum of the partitions' own limits), the Figure 8
+/// operation counter (one global sequential count) and the per-pass rows
+/// every partition adds to.
 struct Build<'a> {
     opts: &'a HloOptions,
     ck: Checker,
     report: HloReport,
-    budgets: BudgetSet,
     ops_left: Option<u64>,
     passes: Vec<PassReport>,
     pass_entered: Vec<bool>,
 }
 
 impl Build<'_> {
-    /// Runs the whole pipeline on one partition's program `q` (its
-    /// sub-program, or the program itself for an outline build) and
-    /// returns the id of the first clone it created — every function from
-    /// there on is one. `placeholders` counts the deleted stand-ins for
-    /// functions outside the partition: each is a lone `ret` (cost 1) that
-    /// no stage edits, so the partition's own cost is `q`'s cost less one
-    /// per placeholder.
-    fn partition(&mut self, q: &mut Program, placeholders: u64, tracer: &mut Tracer) -> usize {
+    /// Runs the whole pipeline on one partition's sub-program `q`.
+    /// `placeholders` counts the deleted stand-ins for functions outside
+    /// the partition: each is a lone `ret` (cost 1) that no stage edits,
+    /// so the partition's own cost is `q`'s cost less one per
+    /// placeholder.
+    fn partition(&mut self, q: &mut Program, placeholders: u64, tracer: &mut Tracer) {
         let opts = self.opts;
         let mut cache = CallGraphCache::new();
         let mut sums = SummaryCache::new();
@@ -601,7 +583,7 @@ impl Build<'_> {
         let initial = cost(q);
         self.report.initial_cost += initial;
         let mut budget = Budget::new(initial, opts.budget_percent, &opts.stage_fractions);
-        let first_clone = q.funcs.len();
+        self.report.budget_limit += budget.limit();
         let mut clone_db = CloneDb::default();
         for pass in 0..opts.passes {
             if !budget.open() || self.ops_left == Some(0) {
@@ -662,7 +644,6 @@ impl Build<'_> {
             // sites deferred for budget reasons become affordable as later
             // stages release more budget.
         }
-        self.budgets.push(budget);
         self.report.summary_scans += sums.scans();
         self.report.summary_solves += sums.solves();
 
@@ -675,7 +656,6 @@ impl Build<'_> {
             tracer.leaf_seq("straighten", t.elapsed());
             self.ck.check(q, "straighten");
         }
-        first_clone
     }
 
     /// Optimizes every function of `q`; on the whole-program path it then
@@ -839,19 +819,26 @@ fn extract_sub_program(p: &mut Program, members: &[FuncId]) -> Program {
     }
 }
 
-/// Takes a rebuilt partition apart again: the globals and externs go back
-/// to `p`, and the members' final bodies and the clones the pipeline
-/// appended (in creation order) come out, with their alive bits, in the
-/// form [`splice_partition`] consumes.
+/// Takes a rebuilt partition apart again into its stored form: the
+/// globals and externs go back to `p`, and the members' final bodies and
+/// the clones the pipeline appended (in creation order) come out with
+/// their alive bits, every reference to one of those clones written as a
+/// [`CLONE_REF_BASE`] sentinel. This is the form [`splice_partition`]
+/// consumes and a later [`PartitionAction::Reuse`] replays.
 fn finish_sub_program(p: &mut Program, sub: Program, members: &[FuncId]) -> ReusedPartition {
     p.globals = sub.globals;
     p.externs = sub.externs;
     let mut funcs: Vec<Option<Function>> = sub.funcs.into_iter().map(Some).collect();
-    let (inputs, total) = (p.funcs.len(), funcs.len());
+    let (base, total) = (p.funcs.len(), funcs.len());
     let mut take = |id: FuncId| {
-        let f = funcs[id.index()]
+        let mut f = funcs[id.index()]
             .take()
             .expect("each function is taken once");
+        f.for_each_func_ref_mut(|fid| {
+            if fid.index() >= base {
+                fid.0 = CLONE_REF_BASE + (fid.0 - base as u32);
+            }
+        });
         let alive = sub.modules[f.module.index()].funcs.contains(&id);
         (f, alive)
     };
@@ -863,63 +850,8 @@ fn finish_sub_program(p: &mut Program, sub: Program, members: &[FuncId]) -> Reus
                 (id, f, alive)
             })
             .collect(),
-        clones: (inputs..total).map(|i| take(FuncId(i as u32))).collect(),
+        clones: (base..total).map(|i| take(FuncId(i as u32))).collect(),
     }
-}
-
-/// Extracts one partition's final state from a finished build, in the
-/// form [`PartitionAction::Reuse`] replays: member bodies with alive bits,
-/// clone bodies in creation order, and references to the partition's own
-/// clones rewritten to [`CLONE_REF_BASE`] sentinels so they survive being
-/// spliced into a program where the clones land on different ids.
-///
-/// # Panics
-/// Panics (debug builds) if a stored body references a clone of *another*
-/// partition — that would mean a pipeline stage edited across a cache
-/// partition boundary, which the incremental scheme forbids.
-pub fn extract_partition(p: &Program, log: &BuildLog, pi: usize) -> ReusedPartition {
-    use std::collections::HashMap;
-    let own_clone_pos: HashMap<FuncId, u32> = log
-        .clones
-        .iter()
-        .filter(|(_, part)| *part == pi)
-        .enumerate()
-        .map(|(pos, (id, _))| (*id, pos as u32))
-        .collect();
-    let all_clones: std::collections::HashSet<FuncId> =
-        log.clones.iter().map(|(id, _)| *id).collect();
-    let encode = |func: &mut Function| {
-        func.for_each_func_ref_mut(|fid| {
-            if let Some(&pos) = own_clone_pos.get(fid) {
-                fid.0 = CLONE_REF_BASE + pos;
-            } else {
-                debug_assert!(
-                    !all_clones.contains(fid),
-                    "partition {pi} references another partition's clone {fid:?}"
-                );
-            }
-        });
-    };
-    let alive = |id: FuncId| p.module(p.func(id).module).funcs.contains(&id);
-    let members = log.partitions[pi]
-        .iter()
-        .map(|&id| {
-            let mut func = p.func(id).clone();
-            encode(&mut func);
-            (id, func, alive(id))
-        })
-        .collect();
-    let clones = log
-        .clones
-        .iter()
-        .filter(|(_, part)| *part == pi)
-        .map(|&(id, _)| {
-            let mut func = p.func(id).clone();
-            encode(&mut func);
-            (func, alive(id))
-        })
-        .collect();
-    ReusedPartition { members, clones }
 }
 
 /// Splices one finished partition into `p`: members' final bodies
@@ -930,7 +862,7 @@ pub fn extract_partition(p: &Program, log: &BuildLog, pi: usize) -> ReusedPartit
 /// with what a rebuild would have allocated because partitions are
 /// processed in order and earlier partitions contribute identical clone
 /// counts either way.
-fn splice_partition(p: &mut Program, finished: ReusedPartition, pi: usize, log: &mut BuildLog) {
+fn splice_partition(p: &mut Program, finished: ReusedPartition) {
     let base = p.funcs.len() as u32;
     let rebase = |func: &mut Function| {
         func.for_each_func_ref_mut(|fid| {
@@ -954,7 +886,6 @@ fn splice_partition(p: &mut Program, finished: ReusedPartition, pi: usize, log: 
         if !alive {
             p.modules[module.index()].funcs.retain(|&x| x != id);
         }
-        log.clones.push((id, pi));
     }
 }
 
@@ -1317,13 +1248,22 @@ mod tests {
             enable_outline: true,
             ..Default::default()
         };
-        let report = optimize(&mut p, Some(&db), &opts);
+        let mut tracer = Tracer::new(TraceLevel::Spans);
+        let report = optimize_traced(&mut p, Some(&db), &opts, &mut tracer);
         verify_program(&p).unwrap();
         assert!(report.outlines >= 1, "{report}");
         assert_eq!(
             run_program(&p, &[], &ExecOptions::default()).unwrap().ret,
             expect
         );
+        // An outline build is one partition holding every function: one
+        // `partition:0` span, which owns every pass.
+        let tree = tracer.span_tree_text();
+        assert_eq!(tree.matches("partition:").count(), 1, "{tree}");
+        assert_eq!(tree.matches("partition:0\n").count(), 1, "{tree}");
+        let owners = pass_owners(&tracer);
+        assert!(!owners.is_empty(), "{tree}");
+        assert!(owners.iter().all(|o| o == "partition:0"), "{tree}");
     }
 
     #[test]
@@ -1499,13 +1439,15 @@ mod tests {
     fn partial_reuse_splices_byte_identical_output() {
         let p0 = hlo_frontc::compile(&three_partition_modules()).unwrap();
         let opts = module_opts();
+        let parts = CallGraph::build(&p0).cache_partitions();
+        let nparts = parts.len();
+        assert!(nparts >= 3, "expected >= 3 partitions, got {nparts}");
         let mut full = p0.clone();
         let mut tracer = Tracer::new(TraceLevel::Spans);
         let out = optimize_partial(&mut full, None, &opts, None, &mut tracer);
-        assert!(out.log.rebuilt.iter().all(|&r| r));
-        assert!(!out.log.globals_mutated);
-        let nparts = out.log.partitions.len();
-        assert!(nparts >= 3, "expected >= 3 partitions, got {nparts}");
+        // Without a plan no partition is copied out.
+        assert!(out.rebuilt.is_empty());
+        assert!(!out.globals_mutated);
         assert!(out.report.inlines >= 1, "{}", out.report);
         // Each partition's passes run inside its own structural span,
         // which the stage rows never name.
@@ -1521,38 +1463,54 @@ mod tests {
             .iter()
             .all(|s| !s.stage.starts_with("partition")));
 
+        // A cold build under an all-`Rebuild` plan hands back every
+        // partition's stored form.
+        let mut cold = p0.clone();
+        let plan = vec![PartitionAction::Rebuild; nparts];
+        let out = optimize_partial(&mut cold, None, &opts, Some(plan), &mut Tracer::disabled());
+        assert_eq!(
+            hlo_ir::program_to_text(&full),
+            hlo_ir::program_to_text(&cold)
+        );
+        let stored: Vec<ReusedPartition> = out
+            .rebuilt
+            .into_iter()
+            .map(|s| s.expect("an all-rebuild plan returns every partition"))
+            .collect();
+
         // Rebuild only the partition containing module b's functions and
-        // splice the others from the finished build. The result must be
+        // splice the others from the cold build. The result must be
         // byte-identical.
         let target = p0.find_func("b", "b_main").unwrap();
-        let rebuilt = out
-            .log
-            .partitions
+        let rebuilt = parts
             .iter()
-            .position(|part| part.contains(&target))
+            .position(|part| part.funcs.contains(&target))
             .unwrap();
-        let plan: Vec<PartitionAction> = (0..nparts)
-            .map(|pi| {
+        let plan: Vec<PartitionAction> = stored
+            .iter()
+            .enumerate()
+            .map(|(pi, s)| {
                 if pi == rebuilt {
                     PartitionAction::Rebuild
                 } else {
-                    PartitionAction::Reuse(extract_partition(&full, &out.log, pi))
+                    PartitionAction::Reuse(s.clone())
                 }
             })
             .collect();
         let mut inc = p0.clone();
         let mut tracer = Tracer::new(TraceLevel::Spans);
-        let out2 = optimize_partial(&mut inc, None, &opts, Some(&plan), &mut tracer);
+        let out2 = optimize_partial(&mut inc, None, &opts, Some(plan), &mut tracer);
         assert_eq!(
             hlo_ir::program_to_text(&full),
             hlo_ir::program_to_text(&inc),
             "incremental output diverged"
         );
         assert_eq!(
-            out2.log.rebuilt,
+            out2.rebuilt.iter().map(Option::is_some).collect::<Vec<_>>(),
             (0..nparts).map(|pi| pi == rebuilt).collect::<Vec<_>>(),
             "only the planned partition rebuilds"
         );
+        assert_eq!(out2.rebuilt[rebuilt].as_ref(), Some(&stored[rebuilt]));
         // A splice gets its span too, but runs no pass.
         let tree = tracer.span_tree_text();
         assert!(
@@ -1563,6 +1521,23 @@ mod tests {
         );
         assert_eq!(tree.matches("partition:").count(), nparts, "{tree}");
         hlo_ir::verify_program(&inc).unwrap();
+
+        // Reusing every partition reproduces the build and rebuilds none.
+        let plan = stored.into_iter().map(PartitionAction::Reuse).collect();
+        let mut spliced = p0.clone();
+        let out3 = optimize_partial(
+            &mut spliced,
+            None,
+            &opts,
+            Some(plan),
+            &mut Tracer::disabled(),
+        );
+        assert_eq!(
+            hlo_ir::program_to_text(&full),
+            hlo_ir::program_to_text(&spliced)
+        );
+        assert_eq!(out3.rebuilt.len(), nparts);
+        assert!(out3.rebuilt.iter().all(Option::is_none));
     }
 
     #[test]
@@ -1573,8 +1548,10 @@ mod tests {
         let mut modules = three_partition_modules();
         let p0 = hlo_frontc::compile(&modules).unwrap();
         let opts = module_opts();
+        let parts = CallGraph::build(&p0).cache_partitions();
         let mut full0 = p0.clone();
-        let out0 = optimize_partial(&mut full0, None, &opts, None, &mut Tracer::disabled());
+        let plan = vec![PartitionAction::Rebuild; parts.len()];
+        let out0 = optimize_partial(&mut full0, None, &opts, Some(plan), &mut Tracer::disabled());
 
         // The edit: module b's leaf gains a different constant.
         modules[1].1 = r#"
@@ -1590,19 +1567,21 @@ mod tests {
         optimize_partial(&mut full1, None, &opts, None, &mut Tracer::disabled());
 
         let target = p1.find_func("b", "b_main").unwrap();
-        let plan: Vec<PartitionAction> = (0..out0.log.partitions.len())
-            .map(|pi| {
-                if out0.log.partitions[pi].contains(&target) {
+        let plan: Vec<PartitionAction> = parts
+            .iter()
+            .zip(out0.rebuilt)
+            .map(|(part, stored)| {
+                if part.funcs.contains(&target) {
                     PartitionAction::Rebuild
                 } else {
                     // Stale-by-id is fine: these cones are byte-identical
                     // between p0 and p1 (only module b changed).
-                    PartitionAction::Reuse(extract_partition(&full0, &out0.log, pi))
+                    PartitionAction::Reuse(stored.expect("every partition was rebuilt"))
                 }
             })
             .collect();
         let mut inc = p1.clone();
-        optimize_partial(&mut inc, None, &opts, Some(&plan), &mut Tracer::disabled());
+        optimize_partial(&mut inc, None, &opts, Some(plan), &mut Tracer::disabled());
         assert_eq!(
             hlo_ir::program_to_text(&full1),
             hlo_ir::program_to_text(&inc)

@@ -54,12 +54,12 @@ mod outline;
 mod report;
 mod transform;
 
-pub use budget::{Budget, BudgetSet};
+pub use budget::Budget;
 pub use cloner::{CloneDb, CloneSpec};
 pub use delete::delete_unreachable;
 pub use driver::{
-    extract_partition, optimize, optimize_partial, optimize_traced, BuildLog, HloOptions,
-    PartialOutcome, PartitionAction, ReusedPartition, Scope, CLONE_REF_BASE,
+    optimize, optimize_partial, optimize_traced, HloOptions, PartialOutcome, PartitionAction,
+    ReusedPartition, Scope, CLONE_REF_BASE,
 };
 pub use hlo_analysis::CallGraphCache;
 pub use hlo_ipa::SummaryCache;

@@ -650,9 +650,10 @@ fn bump_first_const(p: &hlo_ir::Program) -> Option<hlo_ir::Program> {
 
 /// Shrinking predicate for [`FindingKind::IncrementalDivergence`]: an
 /// in-process replica of the daemon's partition-splicing path. Build the
-/// pristine program cold, store every partition body under its key, bump
-/// one constant, splice the store hits through [`hlo::optimize_partial`],
-/// and compare against a from-scratch optimize. The planted stale-key
+/// pristine program cold under an all-`Rebuild` plan, store each
+/// partition [`hlo::optimize_partial`] hands back under its key, bump one
+/// constant, splice the store hits through another partial build, and
+/// compare against a from-scratch optimize. The planted stale-key
 /// fault ([`hlo_serve::fault`]) is process-global, so a divergence the
 /// live daemon exposed reproduces here without a socket.
 fn incremental_divergence_reproduces(sources: &[(String, String)]) -> bool {
@@ -676,19 +677,25 @@ fn incremental_divergence_reproduces(sources: &[(String, String)]) -> bool {
         return false;
     };
     let mut cold = pristine.clone();
-    let out = hlo::optimize_partial(&mut cold, None, &opts, None, &mut hlo::Tracer::disabled());
-    if out.log.globals_mutated {
+    let plan = vec![hlo::PartitionAction::Rebuild; keys.len()];
+    let out = hlo::optimize_partial(
+        &mut cold,
+        None,
+        &opts,
+        Some(plan),
+        &mut hlo::Tracer::disabled(),
+    );
+    if out.globals_mutated {
         return false;
     }
-    let store: std::collections::HashMap<u64, hlo::ReusedPartition> = keys
+    let mut store: std::collections::HashMap<u64, hlo::ReusedPartition> = keys
         .iter()
-        .enumerate()
-        .map(|(pi, &k)| (k, hlo::extract_partition(&cold, &out.log, pi)))
+        .zip(out.rebuilt)
+        .filter_map(|(&k, stored)| Some((k, stored?)))
         .collect();
     let Some(edited_keys) = keys_of(&edited) else {
         return false;
     };
-    let mut store = store;
     let plan: Vec<hlo::PartitionAction> = edited_keys
         .iter()
         .map(|k| match store.remove(k) {
@@ -701,7 +708,7 @@ fn incremental_divergence_reproduces(sources: &[(String, String)]) -> bool {
         &mut spliced,
         None,
         &opts,
-        Some(&plan),
+        Some(plan),
         &mut hlo::Tracer::disabled(),
     );
     let mut truth = edited;

@@ -1,7 +1,7 @@
 //! Human-readable IR printing (for debugging, tests and examples).
 
-use crate::{Callee, Function, Inst, Operand, Program};
-use std::fmt::{self, Write as _};
+use crate::{Callee, Function, Inst, Operand};
+use std::fmt;
 
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -82,18 +82,6 @@ impl fmt::Display for Function {
         }
         write!(f, "}}")
     }
-}
-
-/// Renders the whole program as text, grouped by module.
-pub fn dump_program(p: &Program) -> String {
-    let mut out = String::new();
-    for (mi, m) in p.modules.iter().enumerate() {
-        let _ = writeln!(out, "module {} ({}):", m.name, mi);
-        for &fid in &m.funcs {
-            let _ = writeln!(out, "{}  ; {}", p.func(fid), fid);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! the same bytes `program_to_text` would emit, so two programs hash
 //! equal exactly when they print equal.
 
-use crate::{text, Function, Program};
+use crate::{text, Function};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -64,11 +64,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// matter which program or process they appear in.
 pub fn hash_function(f: &Function) -> u64 {
     fnv1a_64(text::function_to_text(f).as_bytes())
-}
-
-/// Content hash of a whole program: FNV-1a of [`crate::program_to_text`].
-pub fn hash_program(p: &Program) -> u64 {
-    fnv1a_64(text::program_to_text(p).as_bytes())
 }
 
 #[cfg(test)]

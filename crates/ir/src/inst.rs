@@ -17,11 +17,6 @@ impl Operand {
         Operand::Const(ConstVal::I64(v))
     }
 
-    /// Float immediate.
-    pub fn fimm(v: f64) -> Self {
-        Operand::Const(ConstVal::float(v))
-    }
-
     /// The register read, if any.
     pub fn as_reg(self) -> Option<Reg> {
         match self {

@@ -53,9 +53,8 @@ mod types;
 mod verify;
 
 pub use builder::{FunctionBuilder, ProgramBuilder};
-pub use display::dump_program;
 pub use func::{Block, FuncFlags, FuncProfile, Function, Linkage};
-pub use hash::{fnv1a_64, hash_function, hash_program, Fnv64};
+pub use hash::{fnv1a_64, hash_function, Fnv64};
 pub use inst::{BinOp, Callee, Inst, Operand, UnOp};
 pub use layout::{CodeLayout, FuncLayout, INST_BYTES};
 pub use module::{Extern, Global, Module};

@@ -76,11 +76,6 @@ impl Program {
             .map(|(i, f)| (FuncId(i as u32), f))
     }
 
-    /// Function ids in program order.
-    pub fn func_ids(&self) -> impl Iterator<Item = FuncId> {
-        (0..self.funcs.len() as u32).map(FuncId)
-    }
-
     /// Finds a function by `(module name, function name)`.
     pub fn find_func(&self, module: &str, name: &str) -> Option<FuncId> {
         self.iter_funcs()

@@ -47,9 +47,6 @@ pub mod simplify_cfg;
 pub mod straighten;
 pub mod xcall;
 
-pub use pipeline::{
-    optimize_function, optimize_function_checked, optimize_program, optimize_program_checked,
-    OptStats,
-};
+pub use pipeline::{optimize_function, optimize_function_checked, optimize_program, OptStats};
 pub use pure_calls::{eliminate_calls_where, eliminate_pure_calls, PureCallRemoval, PureCallSite};
 pub use xcall::{fold_const_returns, forward_across_calls, ConstRetFold, CrossCallStats};

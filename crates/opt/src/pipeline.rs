@@ -109,20 +109,11 @@ pub fn optimize_function_checked(f: &mut Function, ck: &mut Checker) -> OptStats
 /// routines (interprocedural), iterating once more when that deletion
 /// exposes new intraprocedural opportunities.
 pub fn optimize_program(p: &mut Program) -> OptStats {
-    optimize_program_checked(p, &mut Checker::disabled())
-}
-
-/// [`optimize_program`] in verify-each mode; see
-/// [`optimize_function_checked`].
-pub fn optimize_program_checked(p: &mut Program, ck: &mut Checker) -> OptStats {
     let mut stats = OptStats::default();
     for _ in 0..3 {
         let mut changed = false;
-        for i in 0..p.funcs.len() {
-            let s = {
-                let f = &mut p.funcs[i];
-                optimize_function_checked(f, ck)
-            };
+        for f in &mut p.funcs {
+            let s = optimize_function(f);
             changed |= s.changed;
             stats.changed |= s.changed;
             stats.folded += s.folded;
@@ -133,7 +124,6 @@ pub fn optimize_program_checked(p: &mut Program, ck: &mut Checker) -> OptStats {
             stats.cse_replaced += s.cse_replaced;
         }
         let pure_n = pure_calls::eliminate_pure_calls(p);
-        ck.check(p, "pure_calls");
         stats.pure_calls_removed += pure_n;
         stats.changed |= pure_n > 0;
         if pure_n == 0 && !changed {

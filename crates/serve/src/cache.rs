@@ -27,9 +27,11 @@
 //! program-cache miss the daemon can splice stored partition bodies
 //! ([`hlo::ReusedPartition`]) byte-for-byte through
 //! [`hlo::optimize_partial`] and re-optimize only the partitions an edit
-//! invalidated. Warm responses stay byte-identical to a cold in-process
-//! `optimize` call — verified per request, with a full rebuild as the
-//! fallback when verification or eligibility fails.
+//! invalidated. Entries are the rebuilt partitions that build hands
+//! back; a spliced partition is not re-inserted. Warm responses stay
+//! byte-identical to a cold in-process `optimize` call — verified per
+//! request, with a full rebuild as the fallback when verification or
+//! eligibility fails.
 
 use hlo::{CallGraphCache, HloOptions, ReusedPartition};
 use hlo_ir::{program_to_text, Fnv64, Program};
@@ -331,7 +333,7 @@ impl ResultCache {
 
     /// Looks up one partition's stored bodies, touching its LRU slot.
     /// Returns a clone — the caller hands it to [`hlo::optimize_partial`],
-    /// which consumes the bodies at splice time.
+    /// which moves the bodies into the program at splice time.
     pub fn probe_partition(&mut self, key: u64) -> Option<ReusedPartition> {
         let found = self.parts.get(&key).cloned();
         if found.is_some() {
@@ -343,9 +345,9 @@ impl ResultCache {
         found
     }
 
-    /// Stores one partition's finished bodies (from
-    /// [`hlo::extract_partition`]), evicting the coldest entries past
-    /// capacity.
+    /// Stores one partition's finished bodies (a rebuilt entry of
+    /// [`hlo::PartialOutcome::rebuilt`]), evicting the coldest entries
+    /// past capacity.
     pub fn insert_partition(&mut self, key: u64, stored: ReusedPartition) {
         if self.parts.insert(key, stored).is_none() {
             self.part_order.push_back(key);

@@ -127,8 +127,8 @@ pub struct ServeStats {
     pub traces_stored: u64,
     /// Structured events emitted since the daemon started.
     pub events_emitted: u64,
-    /// Aggregate `(stage, wall_us, work_us)` over all non-cached runs.
-    pub stages: Vec<(String, u64, u64)>,
+    /// Aggregate `(stage, wall_us)` over all non-cached runs.
+    pub stages: Vec<(String, u64)>,
     /// Per-phase request latency `(phase, count, sum_us)`, in the order
     /// the daemon reports them (queue wait, cache probe, optimize, reply).
     pub latencies: Vec<(String, u64, u64)>,
@@ -187,8 +187,7 @@ impl ServeStats {
                         .ok_or_else(|| format!("bad stats line `{line}`"))?
                         .to_string();
                     let wall = num(&mut parts, line)?;
-                    let work = num(&mut parts, line)?;
-                    st.stages.push((name, wall, work));
+                    st.stages.push((name, wall));
                 }
                 "latency" => {
                     let phase = parts
@@ -217,10 +216,10 @@ impl ServeStats {
 }
 
 /// A blocking connection to a running `hlod`. One request is in flight at
-/// a time per client; open several clients for concurrency.
+/// a time per client; open several clients for concurrency. Replies over
+/// [`DEFAULT_MAX_PAYLOAD`] bytes are refused.
 pub struct Client {
     stream: TcpStream,
-    max_payload: u32,
 }
 
 impl Client {
@@ -231,18 +230,12 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ServeError> {
         Ok(Client {
             stream: TcpStream::connect(addr)?,
-            max_payload: DEFAULT_MAX_PAYLOAD,
         })
-    }
-
-    /// Raises or lowers the largest response payload this client accepts.
-    pub fn set_max_payload(&mut self, bytes: u32) {
-        self.max_payload = bytes;
     }
 
     fn roundtrip(&mut self, frame: &Frame) -> Result<Frame, ServeError> {
         frame.write_to(&mut self.stream)?;
-        Ok(Frame::read_from(&mut self.stream, self.max_payload)?)
+        Ok(Frame::read_from(&mut self.stream, DEFAULT_MAX_PAYLOAD)?)
     }
 
     fn remote_error(frame: &Frame) -> ServeError {
@@ -445,7 +438,7 @@ mod tests {
                     partition_hits 5\npartition_rebuilds 2\nincr_fallbacks 1\n\
                     partition_entries 12\npgo_programs 2\npgo_bytes 128\n\
                     slow_requests 2\nflight_records 8\ntraces_stored 3\nevents_emitted 40\n\
-                    stage inline 500 1200\nstage clone 80 90\n\
+                    stage inline 500\nstage clone 80\n\
                     latency queue_wait 10 90\nlatency optimize 4 44000\n\
                     quantile queue_wait 9 80 88\nfuture_counter 7\n";
         let st = ServeStats::from_text(text).unwrap();
@@ -465,10 +458,7 @@ mod tests {
         assert_eq!(st.partition_entries, 12);
         assert_eq!(
             st.stages,
-            vec![
-                ("inline".to_string(), 500, 1200),
-                ("clone".to_string(), 80, 90)
-            ]
+            vec![("inline".to_string(), 500), ("clone".to_string(), 80)]
         );
         assert_eq!(
             st.latencies,
@@ -487,7 +477,7 @@ mod tests {
     #[test]
     fn malformed_stats_line_is_an_error() {
         assert!(ServeStats::from_text("requests ten\n").is_err());
-        assert!(ServeStats::from_text("stage inline 5\n").is_err());
+        assert!(ServeStats::from_text("stage inline\n").is_err());
         assert!(ServeStats::from_text("quantile queue_wait 9 80\n").is_err());
     }
 

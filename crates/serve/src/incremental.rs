@@ -7,11 +7,12 @@
 //! pure function of its own members' cone hashes, the option
 //! fingerprint, the profile slice, and its budget share — never of other
 //! partitions' contents. So the daemon keys a store of finished partition
-//! bodies ([`hlo::ReusedPartition`], produced by
-//! [`hlo::extract_partition`]) on exactly those inputs, probes it per
-//! partition, and hands [`hlo::optimize_partial`] a plan that splices
+//! bodies ([`hlo::ReusedPartition`]) on exactly those inputs, probes it
+//! per partition, and hands [`hlo::optimize_partial`] a plan that splices
 //! every hit and re-optimizes only the partitions an edit's dependence
-//! cone touched.
+//! cone touched. The build hands back the stored form of each partition
+//! it rebuilt ([`hlo::PartialOutcome::rebuilt`]), and those are what the
+//! daemon inserts.
 //!
 //! Not every request is partition-cacheable. [`eligible_partitions`]
 //! refuses (and the daemon falls back to a full rebuild, counted as
@@ -79,8 +80,8 @@ pub fn eligible_partitions(
 /// The content key of one cache partition: an FNV hash over the sorted
 /// `(function id, cone key)` member pairs plus the partition's budget
 /// share basis — its input compile cost (`Σ size²` over members), which
-/// is what the hierarchical [`hlo::BudgetSet`] split turns into this
-/// partition's budget limit. `func_keys` are the request's per-function
+/// is what the hierarchical budget split turns into this partition's own
+/// [`hlo::Budget`]. `func_keys` are the request's per-function
 /// cone keys ([`crate::cache::RequestKey::funcs`]), which already fold in
 /// the option fingerprint, profile hash, and program environment — so a
 /// partition key changes exactly when one of its members' dependence

@@ -9,7 +9,8 @@
 //! work instead of optimizing it late. Each worker runs the ordinary
 //! [`hlo::optimize`] pipeline on its own thread — or, on a miss of a
 //! partition-cacheable request, [`hlo::optimize_partial`] with a plan
-//! that splices cached partition bodies (see [`crate::incremental`]).
+//! that splices cached partition bodies and hands back the partitions it
+//! rebuilt for the store (see [`crate::incremental`]).
 //!
 //! Shutdown is graceful: draining stops the accept loop and makes new
 //! optimize requests fail fast, but everything already queued or running
@@ -720,10 +721,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
                     &format!("stage_wall_us_total{{stage=\"{stage}\"}}"),
                     t.wall_us,
                 );
-                shared.metrics.add(
-                    &format!("stage_work_us_total{{stage=\"{stage}\"}}"),
-                    t.work_us,
-                );
             }
             let evicted = shared.cache.lock().unwrap().insert(
                 &key,
@@ -857,9 +854,10 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
 /// Optimizes a program the cache could not serve whole: probe the
 /// partition store per call-graph partition and hand
 /// [`hlo::optimize_partial`] a plan that splices every hit byte-for-byte;
-/// only invalidated partitions run the pipeline. The finished partitions (spliced and rebuilt alike)
-/// re-populate the store, so the next edit's unchanged partitions keep
-/// hitting. Any refusal — the request is not partition-cacheable, or the
+/// only invalidated partitions run the pipeline. The rebuilt partitions
+/// the build hands back go into the store under their keys, so the next
+/// edit's unchanged partitions keep hitting; spliced ones are already
+/// there. Any refusal — the request is not partition-cacheable, or the
 /// spliced result fails IR verification — falls back to a plain full
 /// [`hlo::optimize`] and is counted (`incr_fallback`).
 #[allow(clippy::too_many_arguments)] // the request's full dequeue context
@@ -908,7 +906,7 @@ fn optimize_miss(
             // with no hits *is* a from-scratch build — nothing to
             // verify or restore.
             let backup = (hits > 0).then(|| program.clone());
-            let out = hlo::optimize_partial(program, profile, opts, Some(&plan), tracer);
+            let out = hlo::optimize_partial(program, profile, opts, Some(plan), tracer);
             if hits == 0 || hlo_ir::verify_program(program).is_ok() {
                 outcome.partition_hits = hits;
                 outcome.partition_rebuilds = rebuilds;
@@ -916,10 +914,12 @@ fn optimize_miss(
                 // partitions' bodies — its outputs are not pure functions
                 // of their partitions, so they must not seed future
                 // splices.
-                if !out.log.globals_mutated {
+                if !out.globals_mutated {
                     let mut cache = shared.cache.lock().unwrap();
-                    for (pi, &k) in pkeys.iter().enumerate() {
-                        cache.insert_partition(k, hlo::extract_partition(program, &out.log, pi));
+                    for (&k, stored) in pkeys.iter().zip(out.rebuilt) {
+                        if let Some(stored) = stored {
+                            cache.insert_partition(k, stored);
+                        }
                     }
                 }
                 shared.metrics.add("incr_partition_hits_total", hits);
@@ -1201,7 +1201,6 @@ pub const STATS_SERIES: &[(&str, &str)] = &[
     ("pgo_programs", "pgo_programs"),
     ("pgo_bytes", "pgo_resident_bytes"),
     ("stage", "stage_wall_us_total{stage=\"<stage>\"}"),
-    ("stage", "stage_work_us_total{stage=\"<stage>\"}"),
     ("latency", "request_<phase>_us_count"),
     ("latency", "request_<phase>_us_sum"),
     ("quantile", "request_<phase>_p50_us"),
@@ -1344,12 +1343,10 @@ mod tests {
         assert!(empty.contains("latency queue_wait 0 0\nlatency cache_probe 0 0\n"));
         assert!(empty.contains("quantile reply 0 0 0\n"));
 
-        // Labeled stage series come out sorted by stage name, an absent
-        // work counter reads 0, and one reoptimization count backs two
-        // lines.
+        // Labeled stage series come out sorted by stage name, and one
+        // reoptimization count backs two lines.
         let m = MetricsRegistry::new();
         m.add("stage_wall_us_total{stage=\"inline.plan\"}", 30);
-        m.add("stage_work_us_total{stage=\"inline.plan\"}", 40);
         m.add("stage_wall_us_total{stage=\"annotate\"}", 5);
         m.inc("pgo_reoptimize_total");
         m.observe("request_optimize_us", LATENCY_BUCKETS_US, 900);
@@ -1362,10 +1359,7 @@ mod tests {
         let st = ServeStats::from_text(&text).unwrap();
         assert_eq!(
             st.stages,
-            vec![
-                ("annotate".to_string(), 5, 0),
-                ("inline.plan".to_string(), 30, 40)
-            ]
+            vec![("annotate".to_string(), 5), ("inline.plan".to_string(), 30)]
         );
         assert_eq!((st.hits, st.misses), (0, 0));
 

@@ -432,7 +432,6 @@ fn daemon_metric_name_set_is_pinned() {
             "request_reply_us",
             "requests_total",
             "stage_wall_us_total",
-            "stage_work_us_total",
             "traces_stored",
         ],
         "daemon metric-name set changed — update this golden list \

@@ -196,11 +196,6 @@ impl Tracer {
         totals
     }
 
-    /// Aggregates every stage span (see [`Tracer::stage_totals_since`]).
-    pub fn stage_totals(&self) -> Vec<(String, u64, u64)> {
-        self.stage_totals_since(0)
-    }
-
     /// The span tree with timestamps normalized away: one indented line
     /// per span, in creation order. Two runs of the same work produce the
     /// same text regardless of scheduling.
@@ -275,7 +270,7 @@ mod tests {
         t.leaf("delete", us(7), us(7));
         t.leaf("inline.plan", us(5), us(15));
         t.pop(root, us(22));
-        let totals = t.stage_totals();
+        let totals = t.stage_totals_since(0);
         assert_eq!(
             totals,
             vec![

@@ -589,8 +589,8 @@ fn remote_cmd(rest: &[String]) -> Result<(), String> {
             println!("flight records  {}", st.flight_records);
             println!("traces stored   {}", st.traces_stored);
             println!("events emitted  {}", st.events_emitted);
-            for (stage, wall, work) in &st.stages {
-                println!("stage {stage:<12} {wall:>10} us wall {work:>10} us work");
+            for (stage, wall) in &st.stages {
+                println!("stage {stage:<12} {wall:>10} us wall");
             }
             for (phase, count, sum) in &st.latencies {
                 let mean = if *count > 0 { sum / count } else { 0 };
