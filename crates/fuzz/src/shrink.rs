@@ -264,7 +264,6 @@ fn first_child(e: &Expr) -> Option<Expr> {
 mod tests {
     use super::*;
     use crate::gen::{generate_modules, GenConfig};
-    use crate::oracle::{check_sources, CaseOutcome, OracleConfig};
     use crate::print::source_lines;
 
     /// Shrinks against a syntactic property: "the program still calls
@@ -289,39 +288,5 @@ mod tests {
                 "accepted step does not compile"
             );
         }
-    }
-
-    /// End-to-end: a planted optimizer fault is found by the oracle and
-    /// shrunk to a tiny reproducer that still diverges.
-    #[test]
-    fn planted_fault_shrinks_small_and_stays_failing() {
-        let _guard = hlo::fault::FaultGuard::arm();
-        let oc = OracleConfig::quick();
-        // Find a seed whose generated program trips the planted fault.
-        let (modules, want) = (0..200u64)
-            .find_map(|seed| {
-                let m = generate_modules(seed, &GenConfig::default());
-                match check_sources(&print_sources(&m), &oc) {
-                    CaseOutcome::Fail(f) => Some((m, f.kind)),
-                    _ => None,
-                }
-            })
-            .expect("some seed must trip the planted inliner fault");
-        let mut pred = |sources: &[(String, String)]| {
-            matches!(check_sources(sources, &oc),
-                     CaseOutcome::Fail(f) if f.kind == want)
-        };
-        let out = shrink(modules, &ShrinkConfig::default(), &mut pred);
-        assert!(pred(&out.sources), "shrunk program must still fail");
-        assert!(
-            source_lines(&out.sources) <= 15,
-            "expected a tiny reproducer, got {} lines:\n{}",
-            source_lines(&out.sources),
-            out.sources
-                .iter()
-                .map(|(_, s)| s.as_str())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
     }
 }

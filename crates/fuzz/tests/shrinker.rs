@@ -35,9 +35,10 @@ fn complexity(sources: &[(String, String)]) -> (usize, usize, usize) {
     (modules.len() + items + stmts + exprs, non_literal, attred)
 }
 
-/// Find a generated program that trips the planted fault, shrink it, and
-/// re-verify every accepted step: it compiles, passes the IR verifier,
-/// and still exhibits the same finding kind.
+/// Find a generated program that trips the planted fault and shrink it:
+/// the reproducer still fails and is tiny, and every accepted step
+/// compiles, passes the IR verifier, and still exhibits the same finding
+/// kind.
 #[test]
 fn every_accepted_shrink_step_is_verifier_clean_and_still_failing() {
     let _guard = hlo::fault::FaultGuard::arm();
@@ -59,6 +60,17 @@ fn every_accepted_shrink_step_is_verifier_clean_and_still_failing() {
     };
     let out = shrink(modules, &ShrinkConfig::default(), &mut pred);
 
+    assert!(pred(&out.sources), "shrunk program must still fail");
+    let lines = hlo_fuzz::print::source_lines(&out.sources);
+    assert!(
+        lines <= 15,
+        "expected a tiny reproducer, got {lines} lines:\n{}",
+        out.sources
+            .iter()
+            .map(|(_, s)| s.as_str())
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
     assert!(!out.steps.is_empty(), "shrinker accepted no reductions");
     for (i, step) in out.steps.iter().enumerate() {
         // Accepted step compiles and verifies...

@@ -6,7 +6,10 @@
 //! — never loaded, never copied, never passed anywhere — cannot be
 //! observed, so those stores, the address computations and the slot
 //! itself can go.
+//!
+//! Which register holds which slot's address is [`crate::memfwd`]'s map.
 
+use crate::memfwd::{addr_regs, BaseKey};
 use hlo_ir::{Function, Inst, Operand, SlotId};
 
 /// Removes write-only, non-escaping frame slots from `f`. Returns the
@@ -17,66 +20,41 @@ pub fn eliminate_dead_slots(f: &mut Function) -> u64 {
         return 0;
     }
 
-    // For each register, which slot's address it holds (directly from a
-    // single FrameAddr). Registers written by anything else, or by
-    // FrameAddr of several slots, disqualify their slots.
-    let mut reg_slot: Vec<Option<SlotId>> = vec![None; f.num_regs as usize];
-    let mut escaped = vec![false; nslots];
-    let mut multi_def = vec![false; f.num_regs as usize];
-    for block in &f.blocks {
-        for inst in &block.insts {
-            if let Inst::FrameAddr { dst, slot } = inst {
-                if reg_slot[dst.index()].is_some() {
-                    multi_def[dst.index()] = true;
-                }
-                reg_slot[dst.index()] = Some(*slot);
-            } else if let Some(d) = inst.dst() {
-                if reg_slot[d.index()].is_some() {
-                    multi_def[d.index()] = true;
-                }
-            }
-        }
-    }
-    // A register with multiple defs could hold different addresses at
-    // different uses; treat every slot it might name as escaped.
-    for (ri, m) in multi_def.iter().enumerate() {
-        if *m {
-            if let Some(s) = reg_slot[ri] {
-                escaped[s.index()] = true;
-            }
-        }
-    }
-    let slot_of = |op: &Operand, reg_slot: &[Option<SlotId>]| -> Option<SlotId> {
+    let regs = addr_regs(f);
+    let slot_of = |op: &Operand| -> Option<SlotId> {
         match op {
-            Operand::Reg(r) => reg_slot[r.index()],
+            Operand::Reg(r) => match regs[r.index()] {
+                Some(BaseKey::Slot(s)) => Some(s),
+                _ => None,
+            },
             Operand::Const(_) => None,
         }
     };
 
-    // Any use of a slot-address register other than "store base" escapes
-    // the slot (loads read it; copies/arithmetic/calls leak the address;
-    // store *value* position writes the address to memory).
+    // A FrameAddr whose register is not that slot's address register (it
+    // has another definition, or is a parameter) escapes its slot: the
+    // register may hold something else where it is read. Any use of a
+    // slot-address register other than "store base" escapes the slot too
+    // (loads read it; copies/arithmetic/calls leak the address; store
+    // *value* position writes the address to memory).
+    let mut escaped = vec![false; nslots];
     for block in &f.blocks {
         for inst in &block.insts {
             match inst {
-                Inst::FrameAddr { .. } => {}
-                Inst::Store {
-                    base,
-                    offset,
-                    value,
-                } => {
+                Inst::FrameAddr { dst, slot } => {
+                    if regs[dst.index()] != Some(BaseKey::Slot(*slot)) {
+                        escaped[slot.index()] = true;
+                    }
+                }
+                Inst::Store { offset, value, .. } => {
                     // base is fine; offset/value uses escape
-                    if let Some(s) = slot_of(offset, &reg_slot) {
+                    for s in [slot_of(offset), slot_of(value)].into_iter().flatten() {
                         escaped[s.index()] = true;
                     }
-                    if let Some(s) = slot_of(value, &reg_slot) {
-                        escaped[s.index()] = true;
-                    }
-                    let _ = base;
                 }
                 other => {
                     other.for_each_use(|op| {
-                        if let Some(s) = slot_of(op, &reg_slot) {
+                        if let Some(s) = slot_of(op) {
                             escaped[s.index()] = true;
                         }
                     });
@@ -97,7 +75,7 @@ pub fn eliminate_dead_slots(f: &mut Function) -> u64 {
     for block in &mut f.blocks {
         let before = block.insts.len();
         block.insts.retain(|inst| match inst {
-            Inst::Store { base, .. } => slot_of(base, &reg_slot).map(dead) != Some(true),
+            Inst::Store { base, .. } => slot_of(base).map(dead) != Some(true),
             Inst::FrameAddr { slot, .. } => !dead(*slot),
             _ => true,
         });

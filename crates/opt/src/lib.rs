@@ -18,15 +18,18 @@
 //! * [`cse`] — local common-subexpression elimination.
 //! * [`dce`] — liveness-based dead-code elimination.
 //! * [`memfwd`] — local store-to-load forwarding with conservative alias
-//!   classes (frame slots / globals / unknown pointers).
+//!   classes (frame slots / globals / unknown pointers), and the
+//!   optimizer's one map of which registers hold which slot or global
+//!   address, which [`dead_slots`] and [`xcall`] read too.
 //! * [`dead_slots`] — removal of write-only, non-escaping frame slots
 //!   (the residue of inlined callee locals).
 //! * [`pure_calls`] — removal of calls to interprocedurally
 //!   side-effect-free routines whose results are unused (the paper's
 //!   072.sc curses-stub deletions).
 //! * [`xcall`] — summary-driven cross-call transformations
-//!   (constant-return folding, store-to-load forwarding across calls,
-//!   cross-call dead-store elimination), fed by `hlo-ipa`.
+//!   (constant-return folding, store-to-load forwarding across calls
+//!   through memfwd's block walk, cross-call dead-store elimination), fed
+//!   by `hlo-ipa`.
 //! * [`straighten`] — profile-guided block reordering (intra-procedural
 //!   code positioning after Pettis & Hansen): hot successors become
 //!   fall-throughs, which the machine model rewards by eliding jumps to

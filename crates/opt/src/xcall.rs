@@ -1,26 +1,30 @@
 //! Summary-driven cross-call scalar transformations.
 //!
-//! [`crate::memfwd`] must forget everything it knows at every call, because
-//! a callee may write anything it can reach. Interprocedural summaries
-//! ([`hlo_ipa::Summaries`]) replace that cliff with a precise kill set —
-//! a call only clobbers the globals in its MOD set and whatever the
-//! pointer arguments it writes through can reach — which unlocks three
-//! transformations this module implements:
+//! [`crate::memfwd::forward_stores`] must forget everything it knows at
+//! every call, because a callee may write anything it can reach.
+//! Interprocedural summaries ([`hlo_ipa::Summaries`]) replace that cliff
+//! with a precise kill set — a call only clobbers the globals in its MOD
+//! set and whatever the pointer arguments it writes through can reach —
+//! which unlocks three transformations:
 //!
 //! * [`fold_const_returns`] — a call to a function whose every return
 //!   path yields the constant `k` has its result replaced by `k`
 //!   (deleting the call outright when the callee is removable, keeping it
 //!   for effect otherwise);
 //! * store-to-load forwarding **across calls** in
-//!   [`forward_across_calls`];
+//!   [`forward_across_calls`]: memfwd's own block walk, handed the
+//!   summaries;
 //! * cross-call **dead-store elimination** for globals, also in
 //!   [`forward_across_calls`]: a store to a global overwritten before any
 //!   possible observer (aliasing load, callee that may read it, block
 //!   end) is deleted.
+//!
+//! Both of the latter read memfwd's address-register map and alias
+//! classes; this module keeps no address model of its own.
 
+use crate::memfwd::{addr_regs, classify, forward_block, BaseKey};
 use hlo_ipa::Summaries;
-use hlo_ir::{Callee, ConstVal, FuncId, GlobalId, Inst, Operand, Program, Reg, SlotId};
-
+use hlo_ir::{Block, Callee, ConstVal, FuncId, GlobalId, Inst, Program};
 /// One constant-return fold, in pre-pass coordinates (for decision
 /// provenance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,97 +113,6 @@ pub struct CrossCallStats {
     pub changed: Vec<FuncId>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BaseKey {
-    Slot(SlotId),
-    Global(GlobalId),
-    Reg(Reg),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Known {
-    base: BaseKey,
-    offset: i64,
-    value: Operand,
-}
-
-/// Per register: the frame slot or global whose address it (uniquely)
-/// holds. The slot half is the same map as [`crate::memfwd`]; tracking
-/// single-definition `GlobalAddr` registers as well lets the pass see
-/// global accesses before constant propagation has rewritten them into
-/// immediate bases.
-struct AddrRegs {
-    slots: Vec<Option<SlotId>>,
-    globals: Vec<Option<GlobalId>>,
-}
-
-fn addr_regs(f: &hlo_ir::Function) -> AddrRegs {
-    let n = f.num_regs as usize;
-    let mut slots: Vec<Option<SlotId>> = vec![None; n];
-    let mut globals: Vec<Option<GlobalId>> = vec![None; n];
-    let mut poisoned = vec![false; n];
-    for block in &f.blocks {
-        for inst in &block.insts {
-            match inst {
-                Inst::FrameAddr { dst, slot } => {
-                    if slots[dst.index()].is_some_and(|s| s != *slot)
-                        || globals[dst.index()].is_some()
-                    {
-                        poisoned[dst.index()] = true;
-                    }
-                    slots[dst.index()] = Some(*slot);
-                }
-                Inst::Const {
-                    dst,
-                    value: ConstVal::GlobalAddr(g),
-                } => {
-                    if globals[dst.index()].is_some_and(|og| og != *g)
-                        || slots[dst.index()].is_some()
-                    {
-                        poisoned[dst.index()] = true;
-                    }
-                    globals[dst.index()] = Some(*g);
-                }
-                other => {
-                    if let Some(d) = other.dst() {
-                        if slots[d.index()].is_some() || globals[d.index()].is_some() {
-                            poisoned[d.index()] = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for (i, p) in poisoned.iter().enumerate() {
-        if *p {
-            slots[i] = None;
-            globals[i] = None;
-        }
-    }
-    AddrRegs { slots, globals }
-}
-
-fn classify(base: &Operand, regs: &AddrRegs) -> Option<BaseKey> {
-    match base {
-        Operand::Const(ConstVal::GlobalAddr(g)) => Some(BaseKey::Global(*g)),
-        Operand::Reg(r) => match (regs.slots[r.index()], regs.globals[r.index()]) {
-            (Some(s), _) => Some(BaseKey::Slot(s)),
-            (None, Some(g)) => Some(BaseKey::Global(g)),
-            (None, None) => Some(BaseKey::Reg(*r)),
-        },
-        Operand::Const(_) => None,
-    }
-}
-
-fn may_alias(a: BaseKey, b: BaseKey) -> bool {
-    match (a, b) {
-        (BaseKey::Slot(x), BaseKey::Slot(y)) => x == y,
-        (BaseKey::Global(x), BaseKey::Global(y)) => x == y,
-        (BaseKey::Slot(_), BaseKey::Global(_)) | (BaseKey::Global(_), BaseKey::Slot(_)) => false,
-        _ => true,
-    }
-}
-
 /// Store-to-load forwarding that survives calls whose summaries bound what
 /// they touch, plus cross-call dead-store elimination for globals.
 pub fn forward_across_calls(p: &mut Program, summaries: &Summaries) -> CrossCallStats {
@@ -209,7 +122,7 @@ pub fn forward_across_calls(p: &mut Program, summaries: &Summaries) -> CrossCall
         let mut forwards = 0;
         let mut dead = 0;
         for block in &mut f.blocks {
-            forwards += forward_in_block(block, &regs, summaries);
+            forwards += forward_block(block, &regs, Some(summaries));
             dead += kill_dead_global_stores(block, &regs, summaries);
         }
         if forwards + dead > 0 {
@@ -221,150 +134,13 @@ pub fn forward_across_calls(p: &mut Program, summaries: &Summaries) -> CrossCall
     stats
 }
 
-/// Applies a direct call's summary to the known-store set: kill exactly
-/// what the callee may write instead of everything. Returns false when the
-/// call is too opaque and the caller should clear the whole set.
-fn apply_call_kills(
-    known: &mut Vec<Known>,
-    callee: FuncId,
-    args: &[Operand],
-    regs: &AddrRegs,
-    summaries: &Summaries,
-) -> bool {
-    let ct = &summaries.funcs[callee.index()];
-    if ct.writes_unknown || ct.calls_extern || ct.calls_indirect {
-        return false;
-    }
-    for &g in &ct.mod_globals {
-        known.retain(|e| !may_alias(e.base, BaseKey::Global(g)));
-    }
-    for (j, wrote) in ct.writes_params.iter().enumerate() {
-        if !*wrote {
-            continue;
-        }
-        // Missing arguments read as zero (writes through address 0 would
-        // trap in the VM, but stay conservative and clear).
-        let Some(arg) = args.get(j) else {
-            return false;
-        };
-        match classify(arg, regs) {
-            Some(k) => known.retain(|e| !may_alias(e.base, k)),
-            None => return false,
-        }
-    }
-    true
-}
-
-fn forward_in_block(block: &mut hlo_ir::Block, regs: &AddrRegs, summaries: &Summaries) -> u64 {
-    let mut replaced = 0;
-    let mut known: Vec<Known> = Vec::new();
-    // Parallel to `known`: whether a summary-screened call was crossed
-    // since the entry was stored. Only such loads are rewritten here —
-    // plain same-block forwarding is memfwd's job and handling it again
-    // would double-report.
-    let mut stored_before_call: Vec<bool> = Vec::new();
-    for inst in &mut block.insts {
-        match inst {
-            Inst::Store {
-                base,
-                offset,
-                value,
-            } => {
-                let key = classify(base, regs);
-                let off = offset.as_const().and_then(ConstVal::as_i64);
-                match (key, off) {
-                    (Some(k), Some(o)) => {
-                        let mut keep = Vec::new();
-                        let mut kept: Vec<Known> = Vec::new();
-                        for (e, &before) in known.iter().zip(stored_before_call.iter()) {
-                            if !may_alias(e.base, k) || (e.base == k && e.offset != o) {
-                                kept.push(*e);
-                                keep.push(before);
-                            }
-                        }
-                        known = kept;
-                        stored_before_call = keep;
-                        known.push(Known {
-                            base: k,
-                            offset: o,
-                            value: *value,
-                        });
-                        stored_before_call.push(false);
-                    }
-                    (Some(k), None) => {
-                        let mut keep = Vec::new();
-                        let mut kept: Vec<Known> = Vec::new();
-                        for (e, &before) in known.iter().zip(stored_before_call.iter()) {
-                            if !may_alias(e.base, k) {
-                                kept.push(*e);
-                                keep.push(before);
-                            }
-                        }
-                        known = kept;
-                        stored_before_call = keep;
-                    }
-                    _ => {
-                        known.clear();
-                        stored_before_call.clear();
-                    }
-                }
-            }
-            Inst::Load { dst, base, offset } => {
-                let key = classify(base, regs);
-                let off = offset.as_const().and_then(ConstVal::as_i64);
-                if let (Some(k), Some(o)) = (key, off) {
-                    if let Some(pos) = known.iter().position(|e| e.base == k && e.offset == o) {
-                        if stored_before_call[pos] {
-                            *inst = Inst::Copy {
-                                dst: *dst,
-                                src: known[pos].value,
-                            };
-                            replaced += 1;
-                        }
-                    }
-                }
-            }
-            Inst::Call {
-                callee: Callee::Func(t),
-                args,
-                ..
-            } => {
-                if apply_call_kills(&mut known, *t, args, regs, summaries) {
-                    stored_before_call.fill(true);
-                } else {
-                    known.clear();
-                    stored_before_call.clear();
-                }
-            }
-            Inst::Call { .. } | Inst::Alloca { .. } => {
-                known.clear();
-                stored_before_call.clear();
-            }
-            _ => {}
-        }
-        if let Some(d) = inst.dst() {
-            let mut keep = Vec::new();
-            let mut kept: Vec<Known> = Vec::new();
-            for (e, &before) in known.iter().zip(stored_before_call.iter()) {
-                if e.value.as_reg() != Some(d) && e.base != BaseKey::Reg(d) {
-                    kept.push(*e);
-                    keep.push(before);
-                }
-            }
-            known = kept;
-            stored_before_call = keep;
-        }
-    }
-    replaced
-}
-
 /// Backward scan deleting stores to globals that are overwritten before
 /// any possible observer. Only globals qualify: a callee can reach a
 /// global without being handed it, so only the summaries make this safe,
 /// while frame slots are already handled by [`crate::dead_slots`].
 fn kill_dead_global_stores(
-    block: &mut hlo_ir::Block,
-    regs: &AddrRegs,
+    block: &mut Block,
+    regs: &[Option<BaseKey>],
     summaries: &Summaries,
 ) -> u64 {
     // (global, offset) pairs overwritten later in the block with no
@@ -374,21 +150,15 @@ fn kill_dead_global_stores(
     for (ii, inst) in block.insts.iter().enumerate().rev() {
         match inst {
             Inst::Store { base, offset, .. } => {
-                let key = classify(base, regs);
+                // Any other store is a write, not a read: the later
+                // overwrites still stand.
                 let off = offset.as_const().and_then(ConstVal::as_i64);
-                if let (Some(BaseKey::Global(g)), Some(o)) = (key, off) {
+                if let (Some(BaseKey::Global(g)), Some(o)) = (classify(base, regs), off) {
                     if overwritten.contains(&(g, o)) {
                         dead[ii] = true;
                     } else {
                         overwritten.push((g, o));
                     }
-                } else if let Some(BaseKey::Reg(_)) = key {
-                    // A store through a raw pointer could target any
-                    // global, making it the "earlier store" for all
-                    // tracked pairs — but it is a write, not a read, so
-                    // the later overwrites still stand. Nothing to do.
-                } else if key.is_none() {
-                    // Absolute address: same reasoning as above.
                 }
             }
             Inst::Load { base, .. } => match classify(base, regs) {
@@ -429,7 +199,7 @@ fn kill_dead_global_stores(
 mod tests {
     use super::*;
     use hlo_analysis::CallGraph;
-    use hlo_ir::{BinOp, FunctionBuilder, Linkage, ProgramBuilder, Type};
+    use hlo_ir::{BinOp, FunctionBuilder, Linkage, Operand, ProgramBuilder, Type};
 
     fn summarize(p: &Program) -> Summaries {
         Summaries::compute(p, &CallGraph::build(p))
@@ -623,6 +393,25 @@ mod tests {
         );
         w.ret(e, None);
         pb.add_function(w.finish(Linkage::Public, Type::Void));
+        let mut p = pb.finish(Some(FuncId(0)));
+        let s = summarize(&p);
+        assert_eq!(forward_across_calls(&mut p, &s).forwards, 1);
+    }
+
+    /// The summary-screened walk is memfwd's: it forwards a same-block
+    /// match with no call in between as well.
+    #[test]
+    fn forwards_within_a_block_without_a_call() {
+        let mut pb = ProgramBuilder::new();
+        let m = pb.add_module("m");
+        let mut main = FunctionBuilder::new("main", m, 1);
+        let e = main.entry_block();
+        let s = main.new_slot(8);
+        let a = main.frame_addr(e, s);
+        main.store(e, a.into(), Operand::imm(0), Operand::Reg(main.param(0)));
+        let v = main.load(e, a.into(), Operand::imm(0));
+        main.ret(e, Some(v.into()));
+        pb.add_function(main.finish(Linkage::Public, Type::I64));
         let mut p = pb.finish(Some(FuncId(0)));
         let s = summarize(&p);
         assert_eq!(forward_across_calls(&mut p, &s).forwards, 1);

@@ -20,9 +20,9 @@
 //!   operational record (request lifecycle, evictions, drains, errors);
 //! * [`FlightRecorder`] — an always-on, lock-sharded ring of the last N
 //!   request summaries, dumped on demand or when something goes wrong;
-//! * [`QuantileSketch`] — a deterministic, mergeable streaming quantile
-//!   sketch (integer bucket bounds, documented error bound) behind the
-//!   daemon's rolling p50/p95/p99 phase latencies;
+//! * [`QuantileSketch`] — a deterministic streaming quantile sketch
+//!   (integer bucket bounds, documented error bound) behind the daemon's
+//!   rolling p50/p95/p99 phase latencies;
 //! * exporters — Chrome `trace_event` JSON ([`chrome_trace_json`],
 //!   loadable in Perfetto, validated by [`validate_chrome_trace`]) and a
 //!   Prometheus-style text exposition ([`MetricsRegistry::expose`],

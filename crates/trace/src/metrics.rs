@@ -335,17 +335,14 @@ fn sketch_bounds() -> &'static [u64] {
 pub const SKETCH_ERROR_PERCENT: u64 = 25;
 
 /// A deterministic streaming quantile sketch: fixed-size geometric
-/// buckets, integer-only, mergeable.
+/// buckets, integer-only.
 ///
 /// Values land in buckets whose upper bounds grow by at most 25% per
 /// step ([`sketch_bounds`]); a quantile query returns the upper bound of
 /// the bucket holding the requested rank, so the answer overshoots the
 /// true order statistic by at most [`SKETCH_ERROR_PERCENT`] percent and
-/// never undershoots. No clocks, no floats — the text form
-/// ([`QuantileSketch::to_text`]) is integers only and byte-stable, and
-/// merging two sketches is per-bucket addition, so merged totals are
-/// independent of merge order (the same property the registry's counters
-/// rely on).
+/// never undershoots. No clocks, no floats: the same observations give
+/// the same sketch, whatever their order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
     counts: Vec<u64>,
@@ -387,15 +384,6 @@ impl QuantileSketch {
         self.sum
     }
 
-    /// Folds another sketch in (per-bucket addition; order-independent).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
     /// The quantile at `permille` (e.g. 500 = p50, 990 = p99): the upper
     /// bound of the bucket holding that rank. Returns 0 on an empty
     /// sketch; `permille` is clamped to 1000.
@@ -415,73 +403,6 @@ impl QuantileSketch {
             }
         }
         u64::MAX
-    }
-
-    /// Serializes as integer-only text: a version line, totals, then one
-    /// `bucket <index> <count>` line per occupied bucket.
-    pub fn to_text(&self) -> String {
-        let mut out = format!(
-            "quantile-sketch v1\ncount {}\nsum {}\n",
-            self.count, self.sum
-        );
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                out.push_str(&format!("bucket {i} {c}\n"));
-            }
-        }
-        out
-    }
-
-    /// Parses [`QuantileSketch::to_text`]; bucket counts must re-total to
-    /// the `count` line.
-    ///
-    /// # Errors
-    /// Describes the malformed or inconsistent line.
-    pub fn from_text(text: &str) -> Result<QuantileSketch, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some("quantile-sketch v1") {
-            return Err("missing `quantile-sketch v1` header".to_string());
-        }
-        let mut s = QuantileSketch::new();
-        let mut total = 0u64;
-        for line in lines {
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("count") => {
-                    s.count = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("bad count line `{line}`"))?;
-                }
-                Some("sum") => {
-                    s.sum = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("bad sum line `{line}`"))?;
-                }
-                Some("bucket") => {
-                    let idx: usize = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&i| i < s.counts.len())
-                        .ok_or_else(|| format!("bad bucket index in `{line}`"))?;
-                    let c: u64 = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("bad bucket count in `{line}`"))?;
-                    s.counts[idx] = c;
-                    total += c;
-                }
-                _ => return Err(format!("bad sketch line `{line}`")),
-            }
-        }
-        if total != s.count {
-            return Err(format!(
-                "bucket counts total {total}, count line says {}",
-                s.count
-            ));
-        }
-        Ok(s)
     }
 }
 
@@ -624,32 +545,6 @@ mod tests {
         }
         assert_eq!(small.quantile(500), 2);
         assert_eq!(small.quantile(1000), 4);
-    }
-
-    #[test]
-    fn sketch_merge_is_order_independent_and_text_roundtrips() {
-        let (mut a, mut b) = (QuantileSketch::new(), QuantileSketch::new());
-        for v in [5u64, 70, 70, 9_000] {
-            a.record(v);
-        }
-        for v in [1u64, 1_000_000, 33] {
-            b.record(v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.count(), 7);
-
-        let back = QuantileSketch::from_text(&ab.to_text()).unwrap();
-        assert_eq!(back, ab);
-        assert!(QuantileSketch::from_text("nope").is_err());
-        assert!(QuantileSketch::from_text("quantile-sketch v1\ncount 2\n").is_err());
-        assert!(
-            QuantileSketch::from_text("quantile-sketch v1\ncount 0\nsum 0\nbucket 999999 1\n")
-                .is_err()
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests for the observability wire formats: event-log lines,
-//! quantile-sketch text, and the metrics exposition contract.
+//! Property tests for the observability formats: event-log lines, the
+//! quantile sketch's error bound, and the metrics exposition contract.
 
 use hlo_trace::{
     parse_exposition, Event, EventLevel, MetricsRegistry, QuantileSketch, SKETCH_ERROR_PERCENT,
@@ -45,31 +45,12 @@ proptest! {
     }
 
     #[test]
-    fn sketch_roundtrips_and_honours_its_error_bound(
-        values in prop::collection::vec(any::<u64>(), 1..200),
-        split in any::<u8>(),
-    ) {
-        let mut whole = QuantileSketch::new();
+    fn sketch_honours_its_error_bound(values in prop::collection::vec(any::<u64>(), 1..200)) {
+        let mut sketch = QuantileSketch::new();
         for &v in &values {
-            whole.record(v);
+            sketch.record(v);
         }
-        prop_assert_eq!(whole.count(), values.len() as u64);
-
-        // Text form loses nothing.
-        let back = QuantileSketch::from_text(&whole.to_text()).unwrap();
-        prop_assert_eq!(&back, &whole);
-
-        // Merging partial sketches equals recording everything in one.
-        let cut = split as usize % values.len();
-        let (mut a, mut b) = (QuantileSketch::new(), QuantileSketch::new());
-        for &v in &values[..cut] {
-            a.record(v);
-        }
-        for &v in &values[cut..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        prop_assert_eq!(&a, &whole);
+        prop_assert_eq!(sketch.count(), values.len() as u64);
 
         // Never undershoots; overshoots by at most the documented bound.
         let mut sorted = values.clone();
@@ -77,7 +58,7 @@ proptest! {
         for permille in [500u64, 950, 990, 1000] {
             let rank = (permille * sorted.len() as u64).div_ceil(1000).max(1);
             let truth = sorted[rank as usize - 1];
-            let q = whole.quantile(permille);
+            let q = sketch.quantile(permille);
             prop_assert!(q >= truth, "p{} undershoot: {} < {}", permille, q, truth);
             // `truth / (100 / pct)` instead of `truth * pct / 100`: same
             // bound, no overflow near u64::MAX.

@@ -150,6 +150,48 @@ fn explain_names_inlined_and_budget_rejected_sites_and_trace_is_valid_json() {
     assert!(events.len() > 2, "trace has {} events", events.len());
 }
 
+/// `f` stores through its parameter `r0` (`main` passes `&g`) before
+/// redefining it as a frame-slot address, so the first store writes
+/// `g[0]` and is not a dead slot store. Hand-written IR: MinC cannot
+/// redefine a parameter register.
+#[test]
+fn opt_keeps_a_store_through_a_parameter_later_redefined_as_a_slot_address() {
+    let dir = tmpdir("paramslot");
+    let ir_path = dir.join("param_slot.ir");
+    std::fs::write(
+        &ir_path,
+        "\
+hlo-ir v1
+module m
+global g 0 pub 2
+func f 0 pub params=1 regs=1 ret=i64
+slots 8
+block
+  store [r0 + 0] = 7
+  r0 = frameaddr s0
+  store [r0 + 0] = 1
+  ret 0
+endfunc
+func main 0 pub params=0 regs=2 ret=i64
+block
+  r0 = call f0(&g0)
+  r1 = load [&g0 + 0]
+  ret r1
+endfunc
+entry 1
+",
+    )
+    .unwrap();
+    let out = hloc()
+        .args(["opt", "--budget", "0", "--no-inline", "--no-clone", "--run"])
+        .arg(&ir_path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("exit value 7 "), "{stderr}");
+}
+
 #[test]
 fn classify_prints_all_categories() {
     let dir = tmpdir("classify");
