@@ -55,6 +55,10 @@ pub struct ClonePassResult {
     pub plan_wall: Duration,
     /// Wall-clock time of selection + materialization.
     pub apply_wall: Duration,
+    /// Scalar-optimizer runs on new clones.
+    pub opt_runs: u64,
+    /// The rounds those runs took.
+    pub opt_rounds: u64,
 }
 
 /// Parameter-usage weights: how much a routine would benefit from knowing
@@ -475,7 +479,10 @@ pub fn clone_pass(
             // already paid for when they were created.
             let mut charged = 0u64;
             if created {
-                if hlo_opt::optimize_function(p.func_mut(clone_id)).converged {
+                let stats = hlo_opt::optimize_function(p.func_mut(clone_id));
+                result.opt_runs += 1;
+                result.opt_rounds += stats.rounds;
+                if stats.converged {
                     cache.settle(clone_id);
                 }
                 let s = p.func(clone_id).size();

@@ -608,6 +608,8 @@ impl Build<'_> {
                 pr.clones_created += r.clones_created;
                 pr.clones_reused += r.clones_reused;
                 pr.clone_replacements += r.sites_replaced;
+                self.report.opt_runs += r.opt_runs;
+                self.report.opt_rounds += r.opt_rounds;
                 tracer.leaf_seq("clone.plan", r.plan_wall);
                 tracer.leaf_seq("clone.apply", r.apply_wall);
                 self.ck.check(q, &format!("clone@{pass}"));
@@ -624,6 +626,9 @@ impl Build<'_> {
                     tracer,
                 );
                 self.passes[pass].inlines += r.inlines;
+                self.report.inline_evals += r.evals;
+                self.report.opt_runs += r.opt_runs;
+                self.report.opt_rounds += r.opt_rounds;
                 tracer.leaf_seq("inline.plan", r.plan_wall);
                 tracer.leaf_seq("inline.apply", r.apply_wall);
                 self.ck.check(q, &format!("inline@{pass}"));
@@ -675,7 +680,7 @@ impl Build<'_> {
         pass: u32,
     ) {
         let opts = self.opts;
-        cleanup_round(q, &mut self.ck, cache, tracer);
+        cleanup_round(q, &mut self.ck, &mut self.report, cache, tracer);
         if opts.scope != Scope::CrossModule {
             return;
         }
@@ -704,7 +709,7 @@ impl Build<'_> {
         }
         self.report.pure_calls_removed += removal.removed;
         if removal.removed > 0 {
-            cleanup_round(q, &mut self.ck, cache, tracer);
+            cleanup_round(q, &mut self.ck, &mut self.report, cache, tracer);
         }
 
         // Summary-driven stage: fold constant returns, delete calls the
@@ -763,7 +768,7 @@ impl Build<'_> {
                 || ipa_removal.removed > 0
                 || xstats.forwards + xstats.dead_stores > 0
             {
-                cleanup_round(q, &mut self.ck, cache, tracer);
+                cleanup_round(q, &mut self.ck, &mut self.report, cache, tracer);
             }
         }
     }
@@ -897,10 +902,12 @@ fn splice_partition(p: &mut Program, finished: ReusedPartition) {
 /// fixpoint (nothing edited it since it converged), and deleted routines
 /// and placeholders are too (no stage changes a lone `ret`), so the round
 /// skips all of them: re-running them would change nothing, and debug
-/// builds check exactly that on a copy of each settled one.
+/// builds check exactly that on a copy of each settled one. The runs and
+/// their rounds are counted into `report` (the debug re-runs are not).
 fn cleanup_round(
     p: &mut Program,
     ck: &mut Checker,
+    report: &mut HloReport,
     cache: &mut CallGraphCache,
     tracer: &mut Tracer,
 ) {
@@ -924,6 +931,8 @@ fn cleanup_round(
         .collect();
     for id in ids {
         let stats = hlo_opt::optimize_function_checked(p.func_mut(id), ck);
+        report.opt_runs += 1;
+        report.opt_rounds += stats.rounds;
         if stats.changed {
             cache.invalidate(id);
         }
@@ -1652,9 +1661,10 @@ mod tests {
         let mut ck = Checker::new(CheckLevel::Strict);
         let mut cache = CallGraphCache::new();
         let mut tracer = Tracer::disabled();
+        let mut report = HloReport::default();
         let mut round = |p: &mut Program, cache: &mut CallGraphCache| {
             let before = ck.checks_run();
-            cleanup_round(p, &mut ck, cache, &mut tracer);
+            cleanup_round(p, &mut ck, &mut report, cache, &mut tracer);
             ck.checks_run() - before
         };
         let bodies: Vec<FuncId> = p
@@ -1679,6 +1689,11 @@ mod tests {
         // Every round still records its `cleanup` leaf.
         let leaves = tracer.spans().iter().filter(|s| s.name == "cleanup");
         assert_eq!(leaves.count(), 3);
+        // The work counters saw one run per body, then the one re-run
+        // (a single confirming round); debug re-runs of settled bodies
+        // are not counted.
+        assert_eq!(report.opt_runs, bodies.len() as u64 + 1);
+        assert!(report.opt_rounds > report.opt_runs);
     }
 
     #[cfg(debug_assertions)]
@@ -1693,6 +1708,7 @@ mod tests {
         cleanup_round(
             &mut p,
             &mut Checker::disabled(),
+            &mut HloReport::default(),
             &mut cache,
             &mut Tracer::disabled(),
         );

@@ -91,6 +91,16 @@ pub struct HloReport {
     /// Functions the summary analysis solved, over every partition: the
     /// members of each SCC an edit reached, once per read that saw it.
     pub summary_solves: u64,
+    /// Scalar-optimizer runs over every partition: each cleanup round's
+    /// runs, each re-optimized inline caller and each new clone. Debug
+    /// builds' re-runs of settled functions do not count.
+    pub opt_runs: u64,
+    /// The rounds those runs took, each run's confirming last round
+    /// included.
+    pub opt_rounds: u64,
+    /// Trial inserts the inline planner costed against its schedule, over
+    /// every partition and pass.
+    pub inline_evals: u64,
     /// Per-stage wall-clock vs cumulative-work timings.
     pub stage_timings: Vec<StageTiming>,
     /// Wire-form keys [`HloReport::from_text`] did not recognize and
@@ -154,6 +164,9 @@ impl HloReport {
         n("profile_annotations", self.profile_annotations);
         n("summary_scans", self.summary_scans);
         n("summary_solves", self.summary_solves);
+        n("opt_runs", self.opt_runs);
+        n("opt_rounds", self.opt_rounds);
+        n("inline_evals", self.inline_evals);
         n("diagnostics_elided", self.diagnostics.len() as u64);
         for p in &self.passes {
             let _ = writeln!(
@@ -218,6 +231,9 @@ impl HloReport {
                 "profile_annotations" => r.profile_annotations = num(val)?,
                 "summary_scans" => r.summary_scans = num(val)?,
                 "summary_solves" => r.summary_solves = num(val)?,
+                "opt_runs" => r.opt_runs = num(val)?,
+                "opt_rounds" => r.opt_rounds = num(val)?,
+                "inline_evals" => r.inline_evals = num(val)?,
                 "diagnostics_elided" => {}
                 "pass" => {
                     let f: Vec<u64> = val.split_whitespace().map(num).collect::<Result<_, _>>()?;
@@ -322,6 +338,9 @@ mod tests {
             profile_annotations: 6,
             summary_scans: 40,
             summary_solves: 31,
+            opt_runs: 17,
+            opt_rounds: 36,
+            inline_evals: 23,
             passes: vec![PassReport {
                 pass: 0,
                 inlines: 12,

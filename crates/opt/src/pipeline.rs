@@ -32,6 +32,9 @@ pub struct OptStats {
     /// optimizer's fixpoint: running it again changes nothing. False when
     /// the round limit cut the iteration short.
     pub converged: bool,
+    /// Rounds run, the last one included (for a converged run, the round
+    /// that confirmed nothing changes).
+    pub rounds: u64,
 }
 
 impl OptStats {
@@ -76,6 +79,7 @@ pub fn optimize_function_checked(f: &mut Function, ck: &mut Checker) -> OptStats
     const MAX_ROUNDS: usize = 8;
     let mut stats = OptStats::default();
     for _ in 0..MAX_ROUNDS {
+        stats.rounds += 1;
         let cp = constprop::propagate(f);
         ck.check_function(f, "constprop");
         let alg_n = algebraic::simplify_algebra(f);
@@ -122,6 +126,7 @@ pub fn optimize_program(p: &mut Program) -> OptStats {
             stats.dead_removed += s.dead_removed;
             stats.blocks_simplified += s.blocks_simplified;
             stats.cse_replaced += s.cse_replaced;
+            stats.rounds += s.rounds;
         }
         let pure_n = pure_calls::eliminate_pure_calls(p);
         stats.pure_calls_removed += pure_n;

@@ -705,51 +705,53 @@ fn decision_reports_match_pinned_hashes() {
     );
 }
 
-/// Summary-analysis work per build: (program, configuration,
-/// `HloReport::summary_scans`, `HloReport::summary_solves`) for the 14
-/// suite programs as compiled, the 24-module edit program and the
-/// pure-call fixture, under the `default` and `no-ipa` configurations.
-/// The optimizer is serially deterministic, so these counts are exact:
-/// checked for equality, a change that moves one updates its row and
-/// says why.
-const WORK: &[(&str, &str, u64, u64)] = &[
-    ("008.espresso", "default", 63, 63),
-    ("008.espresso", "no-ipa", 63, 63),
-    ("022.li", "default", 35, 35),
-    ("022.li", "no-ipa", 35, 35),
-    ("023.eqntott", "default", 14, 14),
-    ("023.eqntott", "no-ipa", 14, 14),
-    ("026.compress", "default", 20, 20),
-    ("026.compress", "no-ipa", 19, 19),
-    ("072.sc", "default", 38, 38),
-    ("072.sc", "no-ipa", 36, 36),
-    ("085.gcc", "default", 33, 34),
-    ("085.gcc", "no-ipa", 31, 32),
-    ("099.go", "default", 45, 45),
-    ("099.go", "no-ipa", 45, 45),
-    ("124.m88ksim", "default", 31, 31),
-    ("124.m88ksim", "no-ipa", 29, 29),
-    ("126.gcc", "default", 36, 37),
-    ("126.gcc", "no-ipa", 35, 36),
-    ("129.compress", "default", 22, 22),
-    ("129.compress", "no-ipa", 21, 21),
-    ("130.li", "default", 43, 43),
-    ("130.li", "no-ipa", 38, 38),
-    ("132.ijpeg", "default", 20, 20),
-    ("132.ijpeg", "no-ipa", 20, 20),
-    ("134.perl", "default", 36, 36),
-    ("134.perl", "no-ipa", 36, 36),
-    ("147.vortex", "default", 42, 44),
-    ("147.vortex", "no-ipa", 40, 41),
-    ("edit24", "default", 1800, 1800),
-    ("edit24", "no-ipa", 1800, 1800),
-    ("purecalls", "default", 9, 9),
-    ("purecalls", "no-ipa", 7, 7),
+/// Optimizer work per build: (program, configuration,
+/// `HloReport::summary_scans`, `HloReport::summary_solves`,
+/// `HloReport::opt_runs`, `HloReport::opt_rounds`,
+/// `HloReport::inline_evals`) for the 14 suite programs as compiled, the
+/// 24-module edit program and the pure-call fixture, under the `default`
+/// and `no-ipa` configurations. The optimizer is serially deterministic,
+/// so these counts are exact: checked for equality, a change that moves
+/// one updates its row and says why.
+const WORK: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
+    ("008.espresso", "default", 63, 63, 24, 49, 27),
+    ("008.espresso", "no-ipa", 63, 63, 24, 49, 27),
+    ("022.li", "default", 35, 35, 28, 56, 255),
+    ("022.li", "no-ipa", 35, 35, 28, 56, 255),
+    ("023.eqntott", "default", 14, 14, 11, 23, 18),
+    ("023.eqntott", "no-ipa", 14, 14, 11, 23, 18),
+    ("026.compress", "default", 20, 20, 16, 31, 50),
+    ("026.compress", "no-ipa", 19, 19, 16, 31, 50),
+    ("072.sc", "default", 38, 38, 19, 39, 25),
+    ("072.sc", "no-ipa", 36, 36, 18, 38, 25),
+    ("085.gcc", "default", 33, 34, 25, 52, 47),
+    ("085.gcc", "no-ipa", 31, 32, 23, 48, 47),
+    ("099.go", "default", 45, 45, 25, 45, 94),
+    ("099.go", "no-ipa", 45, 45, 24, 43, 94),
+    ("124.m88ksim", "default", 31, 31, 25, 49, 31),
+    ("124.m88ksim", "no-ipa", 29, 29, 23, 46, 29),
+    ("126.gcc", "default", 36, 37, 27, 57, 51),
+    ("126.gcc", "no-ipa", 35, 36, 26, 55, 52),
+    ("129.compress", "default", 22, 22, 16, 31, 47),
+    ("129.compress", "no-ipa", 21, 21, 16, 31, 47),
+    ("130.li", "default", 43, 43, 36, 68, 293),
+    ("130.li", "no-ipa", 38, 38, 32, 63, 294),
+    ("132.ijpeg", "default", 20, 20, 15, 40, 27),
+    ("132.ijpeg", "no-ipa", 20, 20, 15, 40, 27),
+    ("134.perl", "default", 36, 36, 28, 55, 127),
+    ("134.perl", "no-ipa", 36, 36, 28, 55, 127),
+    ("147.vortex", "default", 42, 44, 32, 65, 46),
+    ("147.vortex", "no-ipa", 40, 41, 31, 63, 47),
+    ("edit24", "default", 1800, 1800, 72, 144, 0),
+    ("edit24", "no-ipa", 1800, 1800, 72, 144, 0),
+    ("purecalls", "default", 9, 9, 6, 12, 0),
+    ("purecalls", "no-ipa", 7, 7, 6, 12, 5),
 ];
 
 #[test]
 fn summary_work_matches_pinned_counts() {
-    let mut rows: Vec<(String, &'static str, u64, u64)> = Vec::new();
+    type Row = (String, &'static str, [u64; 5]);
+    let mut rows: Vec<Row> = Vec::new();
     for (name, p0, db) in pinned_programs() {
         if db.is_some() || name.starts_with("fuzz") {
             continue;
@@ -760,19 +762,32 @@ fn summary_work_matches_pinned_counts() {
             }
             let mut p = p0.clone();
             let r = hlo::optimize(&mut p, None, &opts);
-            rows.push((name.clone(), config, r.summary_scans, r.summary_solves));
+            let counts = [
+                r.summary_scans,
+                r.summary_solves,
+                r.opt_runs,
+                r.opt_rounds,
+                r.inline_evals,
+            ];
+            rows.push((name.clone(), config, counts));
         }
     }
     let table: String = rows
         .iter()
-        .map(|(n, c, scans, solves)| format!("    ({n:?}, {c:?}, {scans}, {solves}),\n"))
+        .map(|(n, c, [a, b, d, e, g])| format!("    ({n:?}, {c:?}, {a}, {b}, {d}, {e}, {g}),\n"))
         .collect();
     let mismatches: Vec<String> = rows
         .iter()
         .zip(WORK)
-        .filter(|((n, c, a, b), &(gn, gc, ga, gb))| (n.as_str(), *c, *a, *b) != (gn, gc, ga, gb))
-        .map(|((n, c, a, b), &(_, _, ga, gb))| {
-            format!("{n} [{c}]: got {a} scans, {b} solves; pinned {ga}, {gb}")
+        .filter(|((n, c, got), &(gn, gc, a, b, d, e, g))| {
+            (n.as_str(), *c, *got) != (gn, gc, [a, b, d, e, g])
+        })
+        .map(|((n, c, got), &(_, _, a, b, d, e, g))| {
+            format!(
+                "{n} [{c}]: got {got:?} (scans, solves, opt runs, opt rounds, inline evals); \
+                 pinned {:?}",
+                [a, b, d, e, g]
+            )
         })
         .collect();
     assert!(

@@ -78,7 +78,13 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
         any::<u64>(),
     );
     let ipa = (any::<u64>(), any::<u64>(), any::<u64>());
-    let work = (any::<u64>(), any::<u64>());
+    let work = (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+    );
     let lists = (
         prop::collection::vec(pass_strategy(), 0..6),
         prop::collection::vec(stage_strategy(), 0..6),
@@ -88,7 +94,7 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
             counts;
         let (initial_cost, final_cost, budget_limit, checks_run, lint_time_us, annotations) = costs;
         let (ipa_pure_calls, ipa_const_folds, ipa_store_forwards) = ipa;
-        let (summary_scans, summary_solves) = work;
+        let (summary_scans, summary_solves, opt_runs, opt_rounds, inline_evals) = work;
         let (passes, stage_timings) = lists;
         HloReport {
             inlines,
@@ -109,6 +115,9 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
             profile_annotations: annotations,
             summary_scans,
             summary_solves,
+            opt_runs,
+            opt_rounds,
+            inline_evals,
             passes,
             stage_timings,
             diagnostics: Vec::new(),
