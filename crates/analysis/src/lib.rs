@@ -17,10 +17,18 @@
 //!   indirect, cross-module, within-module, recursive).
 //! * [`reachable_funcs`] — reachability from the entry and address-taken
 //!   roots, used when deleting fully-inlined/cloned routines.
+//! * [`Cfg`] / [`Liveness`] / [`BitSet`] — the block-level dataflow that
+//!   `hlo-opt` and `hlo-lint` share: one function's successor and
+//!   predecessor lists built once, block reachability, and backward
+//!   register liveness on word-packed bitsets. Constant propagation
+//!   meets only live registers, DCE and pure-call removal delete by the
+//!   live-out sets, and the lint's dead-store and uninitialized-register
+//!   checks run on the same graph and bitsets.
 
 mod callgraph;
 mod cgcache;
 mod classify;
+mod dataflow;
 mod dominators;
 mod freq;
 mod loops;
@@ -33,6 +41,7 @@ pub use callgraph::{
 };
 pub use cgcache::CallGraphCache;
 pub use classify::{classify_sites, SiteClass, SiteCounts};
+pub use dataflow::{BitSet, Cfg, Liveness};
 pub use dominators::Dominators;
 pub use freq::estimate_static_profile;
 pub use loops::LoopInfo;

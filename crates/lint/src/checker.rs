@@ -266,4 +266,41 @@ mod tests {
             Some("straighten")
         );
     }
+
+    #[test]
+    fn strict_level_records_a_branch_to_a_missing_block() {
+        // Two blocks, the entry jumping to b1; a buggy pass retargets the
+        // jump to b7. Strict checking runs the lint battery on top of the
+        // verifier, and must record the verifier's finding against the
+        // pass (as the structural level does) instead of panicking.
+        let mut pb = ProgramBuilder::new();
+        let m = pb.add_module("m");
+        let mut f = FunctionBuilder::new("f", m, 0);
+        let e = f.entry_block();
+        let x = f.new_block();
+        f.jump(e, x);
+        f.ret(x, Some(Operand::imm(0)));
+        let id = pb.add_function(f.finish(Linkage::Public, Type::I64));
+        let mut p = pb.finish(Some(id));
+        let mut found = Vec::new();
+        for level in [CheckLevel::Structural, CheckLevel::Strict] {
+            let mut ck = Checker::new(level);
+            ck.baseline(&p);
+            p.funcs[0].blocks[0].insts[0] = Inst::Jump {
+                target: hlo_ir::BlockId(7),
+            };
+            ck.check(&p, "simplify_cfg");
+            ck.check_function(&p.funcs[0], "cse");
+            p.funcs[0].blocks[0].insts[0] = Inst::Jump { target: x };
+            let introduced: Vec<_> = ck.introduced().cloned().collect();
+            assert_eq!(introduced.len(), 1, "{level:?}: {introduced:?}");
+            assert_eq!(introduced[0].pass_origin.as_deref(), Some("simplify_cfg"));
+            assert_eq!(
+                introduced[0].message,
+                "function f: branch from b0 to missing block"
+            );
+            found.push(introduced);
+        }
+        assert_eq!(found[0], found[1]);
+    }
 }

@@ -1,15 +1,17 @@
 //! The lint battery: individual checks over functions and programs.
 
-use crate::dataflow::{reachable_blocks, BitSet};
 use crate::diag::{Diagnostic, Severity};
 use crate::LintOptions;
+use hlo_analysis::{BitSet, Cfg};
 use hlo_ir::{BlockId, Callee, Function, Inst, Program, Reg};
 
 /// Per-block register-definition summary plus the per-function CFG facts
-/// the dataflow checks share.
+/// the dataflow checks share. The block graph skips branch targets past
+/// the last block (the structural verifier reports those), so a malformed
+/// function is linted, not a panic.
 struct FuncFacts {
+    cfg: Cfg,
     reachable: Vec<bool>,
-    preds: Vec<Vec<BlockId>>,
     defs: Vec<BitSet>,
 }
 
@@ -29,9 +31,10 @@ impl FuncFacts {
                 d
             })
             .collect();
+        let cfg = Cfg::new(f);
         FuncFacts {
-            reachable: reachable_blocks(f),
-            preds: f.predecessors(),
+            reachable: cfg.reachable(),
+            cfg,
             defs,
         }
     }
@@ -82,14 +85,14 @@ fn check_uninit(f: &Function, facts: &FuncFacts, out: &mut Vec<Diagnostic>) {
                     entry_uninit.clone()
                 } else if is_may {
                     let mut s = BitSet::empty(nr);
-                    for p in &facts.preds[b] {
-                        s.union_with(&outs[p.index()]);
+                    for &p in facts.cfg.preds(b) {
+                        s.union_with(&outs[p]);
                     }
                     s
                 } else {
                     let mut s = BitSet::full(nr);
-                    for p in &facts.preds[b] {
-                        s.intersect_with(&outs[p.index()]);
+                    for &p in facts.cfg.preds(b) {
+                        s.intersect_with(&outs[p]);
                     }
                     s
                 };
@@ -118,9 +121,9 @@ fn check_uninit(f: &Function, facts: &FuncFacts, out: &mut Vec<Diagnostic>) {
         } else {
             let mut may = BitSet::empty(nr);
             let mut must = BitSet::full(nr);
-            for p in &facts.preds[b] {
-                may.union_with(&may_out[p.index()]);
-                must.intersect_with(&must_out[p.index()]);
+            for &p in facts.cfg.preds(b) {
+                may.union_with(&may_out[p]);
+                must.intersect_with(&must_out[p]);
             }
             (may, must)
         };
@@ -211,9 +214,9 @@ fn check_profile(f: &Function, facts: &FuncFacts, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let mut inflow = if b == 0 { p.entry } else { 0.0 };
-        for pr in &facts.preds[b] {
-            if facts.reachable[pr.index()] {
-                inflow += p.blocks[pr.index()];
+        for &pr in facts.cfg.preds(b) {
+            if facts.reachable[pr] {
+                inflow += p.blocks[pr];
             }
         }
         let freq = p.blocks[b];
@@ -289,58 +292,15 @@ fn check_frame_escape(f: &Function, out: &mut Vec<Diagnostic>) {
 /// ever read, found by backward liveness. Pedantic — unoptimized code is
 /// legitimately full of these (DCE exists to remove them).
 fn check_dead_stores(f: &Function, facts: &FuncFacts, out: &mut Vec<Diagnostic>) {
-    let nr = f.num_regs as usize;
-    let nb = f.blocks.len();
-    if nb == 0 || nr == 0 {
+    if f.blocks.is_empty() || f.num_regs == 0 {
         return;
     }
-    let mut live_in = vec![BitSet::empty(nr); nb];
-    loop {
-        let mut changed = false;
-        for b in (0..nb).rev() {
-            let mut live = BitSet::empty(nr);
-            for s in f.blocks[b]
-                .terminator()
-                .map(|t| t.successors())
-                .unwrap_or_default()
-            {
-                if s.index() < nb {
-                    live.union_with(&live_in[s.index()]);
-                }
-            }
-            for inst in f.blocks[b].insts.iter().rev() {
-                if let Some(d) = inst.dst() {
-                    live.remove(d.index());
-                }
-                inst.for_each_use(|op| {
-                    if let Some(r) = op.as_reg() {
-                        live.set(r.index());
-                    }
-                });
-            }
-            if live != live_in[b] {
-                live_in[b] = live;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for b in 0..nb {
+    let liveness = facts.cfg.liveness(f);
+    for b in 0..f.blocks.len() {
         if !facts.reachable[b] {
             continue;
         }
-        let mut live = BitSet::empty(nr);
-        for s in f.blocks[b]
-            .terminator()
-            .map(|t| t.successors())
-            .unwrap_or_default()
-        {
-            if s.index() < nb {
-                live.union_with(&live_in[s.index()]);
-            }
-        }
+        let mut live = liveness.live_out(b).clone();
         // The backward walk discovers dead stores last-first; buffer and
         // flip so diagnostics come out in source order.
         let mut found = Vec::new();

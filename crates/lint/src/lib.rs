@@ -46,7 +46,6 @@
 
 mod checker;
 mod checks;
-mod dataflow;
 mod diag;
 mod interproc;
 
