@@ -7,18 +7,19 @@
 //! indirect call and [`propagate`] rewrites it into a direct call — the
 //! enabling step of the paper's staged indirect-call promotion.
 
+use hlo_analysis::Cfg;
 use hlo_ir::{BinOp, Callee, ConstVal, Function, Inst, Operand, UnOp};
 
 /// Lattice value for one register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Lat {
+pub(crate) enum Lat {
     Top,
     Const(ConstVal),
     Bottom,
 }
 
 impl Lat {
-    fn meet(self, other: Lat) -> Lat {
+    pub(crate) fn meet(self, other: Lat) -> Lat {
         match (self, other) {
             (Lat::Top, x) | (x, Lat::Top) => x,
             (Lat::Const(a), Lat::Const(b)) if a == b => Lat::Const(a),
@@ -48,16 +49,25 @@ impl ConstPropStats {
 }
 
 /// Runs constant propagation on `f`, rewriting in place.
+///
+/// A register's value at a block's entry is read only when the register
+/// is live there, and a live register's value there depends only on the
+/// predecessors' live registers. So the worklist meets only the
+/// registers live into each successor: the fixpoint is the full one
+/// restricted to live registers, and the rewrite cannot tell them apart.
 pub fn propagate(f: &mut Function) -> ConstPropStats {
     let nregs = f.num_regs as usize;
     let nblocks = f.blocks.len();
     if nblocks == 0 {
         return ConstPropStats::default();
     }
+    let cfg = Cfg::new(f);
+    let live = cfg.liveness(f);
 
-    // In-states per block. Entry: params unknown (Bottom), others Top.
-    let mut ins: Vec<Vec<Lat>> = vec![vec![Lat::Top; nregs]; nblocks];
-    for l in ins[0].iter_mut().take(f.params as usize) {
+    // In-states, block-major: block `b`'s are `ins[b * nregs..][..nregs]`.
+    // Entry: params unknown (Bottom), others Top.
+    let mut ins = vec![Lat::Top; nblocks * nregs];
+    for l in ins[..nregs].iter_mut().take(f.params as usize) {
         *l = Lat::Bottom;
     }
 
@@ -68,25 +78,27 @@ pub fn propagate(f: &mut Function) -> ConstPropStats {
     // Entry is always "visited"; others only after a predecessor flows in.
     let mut visited = vec![false; nblocks];
     visited[0] = true;
+    let mut state = vec![Lat::Top; nregs];
 
     while let Some(b) = work.pop() {
         on_list[b] = false;
-        let mut state = ins[b].clone();
+        state.copy_from_slice(&ins[b * nregs..(b + 1) * nregs]);
         for inst in &f.blocks[b].insts {
             transfer(inst, &mut state);
         }
-        for s in f.blocks[b].successors() {
-            let si = s.index();
+        for &si in cfg.succs(b) {
+            let into = &mut ins[si * nregs..(si + 1) * nregs];
             let mut changed = false;
             if !visited[si] {
+                // The first arrival copies: a meet with Top.
                 visited[si] = true;
-                ins[si] = state.clone();
+                into.copy_from_slice(&state);
                 changed = true;
             } else {
-                for r in 0..nregs {
-                    let m = ins[si][r].meet(state[r]);
-                    if m != ins[si][r] {
-                        ins[si][r] = m;
+                for r in live.live_in(si).iter() {
+                    let m = into[r].meet(state[r]);
+                    if m != into[r] {
+                        into[r] = m;
                         changed = true;
                     }
                 }
@@ -97,15 +109,20 @@ pub fn propagate(f: &mut Function) -> ConstPropStats {
             }
         }
     }
+    rewrite(f, &ins, &visited)
+}
 
-    // Rewrite using per-instruction states.
+/// Folds `f` by the solved block-entry states (`ins`, block-major) of the
+/// blocks the solve reached, then repairs the profile if a branch folded.
+pub(crate) fn rewrite(f: &mut Function, ins: &[Lat], visited: &[bool]) -> ConstPropStats {
+    let nregs = f.num_regs as usize;
     let mut stats = ConstPropStats::default();
-    for b in 0..nblocks {
+    let mut state = vec![Lat::Top; nregs];
+    for (b, block) in f.blocks.iter_mut().enumerate() {
         if !visited[b] {
             continue; // unreachable; simplify_cfg removes it
         }
-        let mut state = ins[b].clone();
-        let block = &mut f.blocks[b];
+        state.copy_from_slice(&ins[b * nregs..(b + 1) * nregs]);
         for inst in &mut block.insts {
             // Replace register uses that are known constants.
             inst.for_each_use_mut(|op| {
@@ -195,23 +212,8 @@ fn repair_profile(f: &mut Function) {
         Some(p) if p.blocks.len() == n => {}
         _ => return,
     }
-    let mut reach = vec![false; n];
-    reach[0] = true;
-    let mut stack = vec![0usize];
-    while let Some(b) = stack.pop() {
-        for s in f.blocks[b].successors() {
-            if !reach[s.index()] {
-                reach[s.index()] = true;
-                stack.push(s.index());
-            }
-        }
-    }
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for b in (0..n).filter(|&b| reach[b]) {
-        for s in f.blocks[b].successors() {
-            preds[s.index()].push(b);
-        }
-    }
+    let cfg = Cfg::new(f);
+    let reach = cfg.reachable();
     let p = f.profile.as_mut().expect("checked above");
     for (b, r) in reach.iter().enumerate() {
         if !r {
@@ -222,7 +224,7 @@ fn repair_profile(f: &mut Function) {
         let mut changed = false;
         for b in (0..n).filter(|&b| reach[b]) {
             let mut inflow = if b == 0 { p.entry } else { 0.0 };
-            for &pr in &preds[b] {
+            for &pr in cfg.preds(b).iter().filter(|&&pr| reach[pr]) {
                 inflow += p.blocks[pr];
             }
             if p.blocks[b] > inflow {
@@ -236,7 +238,7 @@ fn repair_profile(f: &mut Function) {
     }
 }
 
-fn transfer(inst: &Inst, state: &mut [Lat]) {
+pub(crate) fn transfer(inst: &Inst, state: &mut [Lat]) {
     if let Some(d) = inst.dst() {
         let v = match inst {
             Inst::Const { value, .. } => Lat::Const(*value),

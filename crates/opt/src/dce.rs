@@ -1,102 +1,55 @@
 //! Liveness-based dead-code elimination.
 
+use hlo_analysis::{BitSet, Cfg};
 use hlo_ir::{Function, Operand};
-
-/// Per-block live-out register sets as bit vectors.
-pub(crate) fn live_out_sets(f: &Function) -> Vec<Vec<bool>> {
-    let nregs = f.num_regs as usize;
-    let nblocks = f.blocks.len();
-    // use[b], def[b]
-    let mut use_b = vec![vec![false; nregs]; nblocks];
-    let mut def_b = vec![vec![false; nregs]; nblocks];
-    for (bi, block) in f.blocks.iter().enumerate() {
-        for inst in &block.insts {
-            inst.for_each_use(|op| {
-                if let Operand::Reg(r) = op {
-                    if !def_b[bi][r.index()] {
-                        use_b[bi][r.index()] = true;
-                    }
-                }
-            });
-            if let Some(d) = inst.dst() {
-                def_b[bi][d.index()] = true;
-            }
-        }
-    }
-    let succs: Vec<Vec<usize>> = f
-        .blocks
-        .iter()
-        .map(|b| b.successors().iter().map(|s| s.index()).collect())
-        .collect();
-    let mut live_in = vec![vec![false; nregs]; nblocks];
-    let mut live_out = vec![vec![false; nregs]; nblocks];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in (0..nblocks).rev() {
-            // out = union of in[succ]
-            for &s in &succs[bi] {
-                for r in 0..nregs {
-                    if live_in[s][r] && !live_out[bi][r] {
-                        live_out[bi][r] = true;
-                        changed = true;
-                    }
-                }
-            }
-            // in = use | (out - def)
-            for r in 0..nregs {
-                let v = use_b[bi][r] || (live_out[bi][r] && !def_b[bi][r]);
-                if v != live_in[bi][r] {
-                    live_in[bi][r] = v;
-                    changed = true;
-                }
-            }
-        }
-    }
-    live_out
-}
 
 /// Removes instructions whose results are dead and which have no side
 /// effects. Returns the number of instructions removed. Runs to a local
 /// fixpoint (removing one instruction can kill another's last use).
 pub fn eliminate_dead(f: &mut Function) -> u64 {
+    // Terminators are never removed, so the block graph stays valid.
+    let cfg = Cfg::new(f);
     let mut total = 0;
     loop {
-        let live_out = live_out_sets(f);
-        let nregs = f.num_regs as usize;
-        let mut removed_this_round = 0;
-        for (bi, block) in f.blocks.iter_mut().enumerate() {
-            // Walk backwards with a running live set.
-            let mut live = live_out[bi].clone();
-            let mut keep = vec![true; block.insts.len()];
-            for (ii, inst) in block.insts.iter().enumerate().rev() {
-                let dead_dst = inst.dst().map(|d| !live[d.index()]).unwrap_or(false);
-                if dead_dst && !inst.has_side_effect() {
-                    keep[ii] = false;
-                    removed_this_round += 1;
-                    continue; // its uses do not become live
-                }
-                if let Some(d) = inst.dst() {
-                    live[d.index()] = false;
-                }
-                inst.for_each_use(|op| {
-                    if let Operand::Reg(r) = op {
-                        if r.index() < nregs {
-                            live[r.index()] = true;
-                        }
-                    }
-                });
-            }
-            if removed_this_round > 0 {
-                let mut it = keep.iter();
-                block.insts.retain(|_| *it.next().expect("keep length"));
-            }
-        }
-        total += removed_this_round;
-        if removed_this_round == 0 {
+        let live = cfg.liveness(f);
+        let removed = sweep(f, |b| live.live_out(b));
+        total += removed;
+        if removed == 0 {
             return total;
         }
     }
+}
+
+/// One removal sweep: walks each block backwards from its live-out set
+/// and drops every side-effect-free instruction whose result is dead
+/// there. Returns the number removed.
+pub(crate) fn sweep<'a>(f: &mut Function, live_out: impl Fn(usize) -> &'a BitSet) -> u64 {
+    let mut removed = 0;
+    for (bi, block) in f.blocks.iter_mut().enumerate() {
+        let mut live = live_out(bi).clone();
+        let mut keep = vec![true; block.insts.len()];
+        for (ii, inst) in block.insts.iter().enumerate().rev() {
+            let dead_dst = inst.dst().is_some_and(|d| !live.get(d.index()));
+            if dead_dst && !inst.has_side_effect() {
+                keep[ii] = false;
+                removed += 1;
+                continue; // its uses do not become live
+            }
+            if let Some(d) = inst.dst() {
+                live.remove(d.index());
+            }
+            inst.for_each_use(|op| {
+                if let Operand::Reg(r) = op {
+                    live.set(r.index());
+                }
+            });
+        }
+        if removed > 0 {
+            let mut it = keep.iter();
+            block.insts.retain(|_| *it.next().expect("keep length"));
+        }
+    }
+    removed
 }
 
 #[cfg(test)]

@@ -4,8 +4,7 @@
 //! library that provably does nothing are eliminated by interprocedural
 //! analysis *before* inlining, so they never consume inline budget.
 
-use crate::dce::live_out_sets;
-use hlo_analysis::CallGraph;
+use hlo_analysis::{CallGraph, Cfg};
 use hlo_ipa::Summaries;
 use hlo_ir::{Callee, FuncId, Inst, Operand, Program};
 
@@ -64,11 +63,11 @@ pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRem
         if !calls_deletable {
             continue;
         }
-        let live_out = live_out_sets(f);
+        let liveness = Cfg::new(f).liveness(f);
         let mut func_changed = false;
         for (bi, block) in f.blocks.iter_mut().enumerate() {
             // Backward scan to know liveness of each call's destination.
-            let mut live = live_out[bi].clone();
+            let mut live = liveness.live_out(bi).clone();
             let mut keep = vec![true; block.insts.len()];
             let mut block_sites: Vec<PureCallSite> = Vec::new();
             for (ii, inst) in block.insts.iter().enumerate().rev() {
@@ -79,7 +78,7 @@ pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRem
                         ..
                     } if free[t.index()] => match dst {
                         None => Some(*t),
-                        Some(d) if !live[d.index()] => Some(*t),
+                        Some(d) if !live.get(d.index()) => Some(*t),
                         Some(_) => None,
                     },
                     _ => None,
@@ -97,11 +96,11 @@ pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRem
                     continue;
                 }
                 if let Some(d) = inst.dst() {
-                    live[d.index()] = false;
+                    live.remove(d.index());
                 }
                 inst.for_each_use(|op| {
                     if let Operand::Reg(r) = op {
-                        live[r.index()] = true;
+                        live.set(r.index());
                     }
                 });
             }

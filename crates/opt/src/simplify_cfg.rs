@@ -6,6 +6,7 @@
 //! chains are merged. Profile annotations are maintained so later HLO
 //! passes keep seeing valid frequencies.
 
+use hlo_analysis::Cfg;
 use hlo_ir::{BlockId, ConstVal, Function, Inst, Operand};
 
 /// Outcome of one simplification run.
@@ -122,17 +123,7 @@ fn thread_jumps(f: &mut Function, stats: &mut CfgStats) -> bool {
 
 fn remove_unreachable(f: &mut Function, stats: &mut CfgStats) -> bool {
     let n = f.blocks.len();
-    let mut reach = vec![false; n];
-    let mut stack = vec![0usize];
-    reach[0] = true;
-    while let Some(b) = stack.pop() {
-        for s in f.blocks[b].successors() {
-            if !reach[s.index()] {
-                reach[s.index()] = true;
-                stack.push(s.index());
-            }
-        }
-    }
+    let reach = Cfg::new(f).reachable();
     if reach.iter().all(|&r| r) {
         return false;
     }
