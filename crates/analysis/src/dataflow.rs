@@ -122,7 +122,7 @@ impl Cfg {
         let mut npreds = vec![0usize; n + 1];
         for b in &f.blocks {
             succ_start.push(succ.len());
-            for s in b.successors() {
+            for s in b.iter_successors() {
                 if s.index() < n {
                     succ.push(s.index());
                     npreds[s.index() + 1] += 1;

@@ -36,9 +36,14 @@ impl Block {
 
     /// Successor block ids of this block's terminator.
     pub fn successors(&self) -> Vec<BlockId> {
+        self.iter_successors().collect()
+    }
+
+    /// [`Block::successors`] without allocating.
+    pub fn iter_successors(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.terminator()
-            .map(|t| t.successors())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(Inst::iter_successors)
     }
 }
 
@@ -212,7 +217,7 @@ impl Function {
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for (id, b) in self.iter_blocks() {
-            for s in b.successors() {
+            for s in b.iter_successors() {
                 preds[s.index()].push(id);
             }
         }

@@ -427,17 +427,18 @@ impl Inst {
 
     /// Successor blocks, for terminators (empty otherwise).
     pub fn successors(&self) -> Vec<BlockId> {
-        match *self {
-            Inst::Jump { target } => vec![target],
-            Inst::Br { then_, else_, .. } => {
-                if then_ == else_ {
-                    vec![then_]
-                } else {
-                    vec![then_, else_]
-                }
-            }
-            _ => Vec::new(),
-        }
+        self.iter_successors().collect()
+    }
+
+    /// [`Inst::successors`] without allocating: a branch whose arms agree
+    /// yields its target once.
+    pub fn iter_successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Inst::Jump { target } => (Some(target), None),
+            Inst::Br { then_, else_, .. } => (Some(then_), (then_ != else_).then_some(else_)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Rewrites successor block ids through `map` (used when splicing CFGs).

@@ -6,7 +6,6 @@
 //! chains are merged. Profile annotations are maintained so later HLO
 //! passes keep seeing valid frequencies.
 
-use hlo_analysis::Cfg;
 use hlo_ir::{BlockId, ConstVal, Function, Inst, Operand};
 
 /// Outcome of one simplification run.
@@ -122,8 +121,24 @@ fn thread_jumps(f: &mut Function, stats: &mut CfgStats) -> bool {
 }
 
 fn remove_unreachable(f: &mut Function, stats: &mut CfgStats) -> bool {
+    // A successor walk from the entry; targets past the last block are
+    // skipped, as `hlo_analysis::Cfg` skips them.
     let n = f.blocks.len();
-    let reach = Cfg::new(f).reachable();
+    let mut reach = vec![false; n];
+    let mut stack = Vec::new();
+    if n > 0 {
+        reach[0] = true;
+        stack.push(0);
+    }
+    while let Some(b) = stack.pop() {
+        for s in f.blocks[b].iter_successors() {
+            let s = s.index();
+            if s < n && !reach[s] {
+                reach[s] = true;
+                stack.push(s);
+            }
+        }
+    }
     if reach.iter().all(|&r| r) {
         return false;
     }
