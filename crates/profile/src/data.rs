@@ -1,6 +1,7 @@
 //! The profile database.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Counts for one function from a training run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -87,23 +88,25 @@ impl ProfileDb {
         self.funcs.iter()
     }
 
-    /// Serializes to the line-oriented text form.
+    /// Serializes to the line-oriented text form: one record per
+    /// function in `(module, function)` order, its edges sorted.
     pub fn to_text(&self) -> String {
-        let mut keys: Vec<_> = self.funcs.keys().collect();
-        keys.sort();
+        let mut funcs: Vec<_> = self.funcs.iter().collect();
+        funcs.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut out = String::new();
-        for k in keys {
-            let c = &self.funcs[k];
-            out.push_str(&format!("func {} {} {}\n", k.0, k.1, c.entry));
+        let mut edges = Vec::new();
+        for ((module, func), c) in funcs {
+            let _ = writeln!(out, "func {module} {func} {}", c.entry);
             out.push_str("blocks");
             for b in &c.blocks {
-                out.push_str(&format!(" {b}"));
+                let _ = write!(out, " {b}");
             }
             out.push('\n');
-            let mut edges: Vec<_> = c.edges.iter().collect();
-            edges.sort();
-            for ((f, t), n) in edges {
-                out.push_str(&format!("edge {f} {t} {n}\n"));
+            edges.clear();
+            edges.extend(c.edges.iter().map(|(&(f, t), &n)| (f, t, n)));
+            edges.sort_unstable();
+            for &(f, t, n) in &edges {
+                let _ = writeln!(out, "edge {f} {t} {n}");
             }
             out.push_str("end\n");
         }
