@@ -142,16 +142,6 @@ impl CallGraphCache {
         self.stamps.get(f.index()).copied().unwrap_or(0)
     }
 
-    /// Per-function *cone hashes* for content-addressed result caching:
-    /// [`CallGraph::cone_hashes`] over [`hlo_ir::hash_function`] content
-    /// hashes, computed against this cache's (incrementally maintained)
-    /// graph. The optimization service keys its function cache on these —
-    /// see `hlo-serve`.
-    pub fn cone_hashes(&mut self, p: &Program) -> Vec<u64> {
-        let own: Vec<u64> = p.funcs.iter().map(hlo_ir::hash_function).collect();
-        self.graph(p).cone_hashes(&own)
-    }
-
     /// How many times the graph was reassembled (cheap, `O(edges)`).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds

@@ -62,6 +62,8 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// Content hash of one function: FNV-1a of its canonical text form
 /// ([`crate::function_to_text`]). Identical bodies hash identically no
 /// matter which program or process they appear in.
+/// [`crate::ProgramText::function_hashes`] reads the same values off a
+/// rendered program without rendering each function again.
 pub fn hash_function(f: &Function) -> u64 {
     fnv1a_64(text::function_to_text(f).as_bytes())
 }

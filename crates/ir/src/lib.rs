@@ -59,7 +59,9 @@ pub use inst::{BinOp, Callee, Inst, Operand, UnOp};
 pub use layout::{CodeLayout, FuncLayout, INST_BYTES};
 pub use module::{Extern, Global, Module};
 pub use program::Program;
-pub use text::{function_to_text, parse_inst, parse_program_text, program_to_text, IrParseError};
+pub use text::{
+    function_to_text, parse_inst, parse_program_text, program_to_text, IrParseError, ProgramText,
+};
 pub use types::{ConstVal, F64Bits, Type};
 pub use verify::{
     verify_function, verify_function_all, verify_program, verify_program_all, VerifyError,

@@ -21,7 +21,7 @@
 //! ```
 
 use crate::{
-    BinOp, Block, BlockId, Callee, ConstVal, Extern, ExternId, F64Bits, FuncId, FuncProfile,
+    BinOp, Block, BlockId, Callee, ConstVal, Extern, ExternId, F64Bits, Fnv64, FuncId, FuncProfile,
     Function, Global, GlobalId, Inst, Linkage, Module, ModuleId, Operand, Program, Reg, SlotId,
     Type, UnOp,
 };
@@ -46,41 +46,121 @@ impl std::error::Error for IrParseError {}
 
 /// Serializes `p` to the text format.
 pub fn program_to_text(p: &Program) -> String {
-    let mut out = String::from("hlo-ir v1\n");
-    for e in &p.externs {
-        let arity = e
-            .params
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "var".to_string());
-        let ret = if e.has_ret { "ret" } else { "noret" };
-        let _ = writeln!(out, "extern {} {} {}", e.name, arity, ret);
-    }
-    for m in &p.modules {
-        let _ = writeln!(out, "module {}", m.name);
-    }
-    for g in &p.globals {
-        let link = if g.linkage == Linkage::Public {
-            "pub"
-        } else {
-            "static"
-        };
-        let _ = write!(out, "global {} {} {} {}", g.name, g.module.0, link, g.words);
-        if !g.init.is_empty() {
-            let _ = write!(out, " =");
-            for v in &g.init {
-                let _ = write!(out, " {v}");
-            }
+    ProgramText::render(p).into_string()
+}
+
+/// The header suffix that marks a function off its module's list.
+const DEAD_SUFFIX: &str = " dead";
+
+/// A program's canonical text ([`program_to_text`]), rendered once, with
+/// the byte range of each function's record in it. Every content key a
+/// request needs reads this one string: the whole text, each function's
+/// record, and the environment around the records (externs, modules,
+/// globals, entry).
+#[derive(Debug, Clone)]
+pub struct ProgramText {
+    text: String,
+    /// One per function, indexed like `Program::funcs`.
+    funcs: Vec<FuncSpan>,
+}
+
+/// Where one function's record lies in a [`ProgramText`].
+#[derive(Debug, Clone, Copy)]
+struct FuncSpan {
+    /// From the `func` header through the `endfunc` line.
+    start: usize,
+    end: usize,
+    /// Where the header's ` dead` suffix starts, for a function off its
+    /// module's list.
+    dead_at: Option<usize>,
+}
+
+impl ProgramText {
+    /// Renders `p` in one pass.
+    pub fn render(p: &Program) -> ProgramText {
+        let mut out = String::from("hlo-ir v1\n");
+        for e in &p.externs {
+            let arity = e
+                .params
+                .map(|n| n.to_string())
+                .unwrap_or_else(|| "var".to_string());
+            let ret = if e.has_ret { "ret" } else { "noret" };
+            let _ = writeln!(out, "extern {} {} {}", e.name, arity, ret);
         }
-        out.push('\n');
+        for m in &p.modules {
+            let _ = writeln!(out, "module {}", m.name);
+        }
+        for g in &p.globals {
+            let link = if g.linkage == Linkage::Public {
+                "pub"
+            } else {
+                "static"
+            };
+            let _ = write!(out, "global {} {} {} {}", g.name, g.module.0, link, g.words);
+            if !g.init.is_empty() {
+                let _ = write!(out, " =");
+                for v in &g.init {
+                    let _ = write!(out, " {v}");
+                }
+            }
+            out.push('\n');
+        }
+        let mut funcs = Vec::with_capacity(p.funcs.len());
+        for (id, f) in p.iter_funcs() {
+            let dead = !p.module(f.module).funcs.contains(&id);
+            let start = out.len();
+            let dead_at = write_function(&mut out, f, dead);
+            funcs.push(FuncSpan {
+                start,
+                end: out.len(),
+                dead_at,
+            });
+        }
+        if let Some(e) = p.entry {
+            let _ = writeln!(out, "entry {}", e.0);
+        }
+        ProgramText { text: out, funcs }
     }
-    for (id, f) in p.iter_funcs() {
-        let dead = !p.module(f.module).funcs.contains(&id);
-        write_function(&mut out, f, dead);
+
+    /// The canonical text.
+    pub fn as_str(&self) -> &str {
+        &self.text
     }
-    if let Some(e) = p.entry {
-        let _ = writeln!(out, "entry {}", e.0);
+
+    /// The canonical text, without the function ranges.
+    pub fn into_string(self) -> String {
+        self.text
     }
-    out
+
+    /// Every function's content hash, in index order: FNV-1a over its
+    /// record with the header's ` dead` suffix skipped, which is the
+    /// record [`crate::function_to_text`] renders, so each value equals
+    /// [`crate::hash_function`] of that function.
+    pub fn function_hashes(&self) -> Vec<u64> {
+        let bytes = self.text.as_bytes();
+        self.funcs
+            .iter()
+            .map(|span| {
+                let mut h = Fnv64::new();
+                match span.dead_at {
+                    Some(d) => h
+                        .write(&bytes[span.start..d])
+                        .write(&bytes[d + DEAD_SUFFIX.len()..span.end]),
+                    None => h.write(&bytes[span.start..span.end]),
+                };
+                h.finish()
+            })
+            .collect()
+    }
+
+    /// The text outside the function records, which are contiguous: the
+    /// part before them (header, externs, modules, globals) and the part
+    /// after them (the entry line).
+    pub fn environment(&self) -> (&str, &str) {
+        let start = self.funcs.first().map_or(self.text.len(), |s| s.start);
+        let end = self.funcs.last().map_or(self.text.len(), |s| s.end);
+        (&self.text[..start], &self.text[end..])
+    }
 }
 
 /// Serializes one function exactly as [`program_to_text`] prints it inside
@@ -93,18 +173,25 @@ pub fn function_to_text(f: &Function) -> String {
     out
 }
 
-fn write_function(out: &mut String, f: &Function, dead: bool) {
+/// Appends `f`'s record; returns where the header's ` dead` suffix
+/// starts when `dead`.
+fn write_function(out: &mut String, f: &Function, dead: bool) -> Option<usize> {
     let link = if f.linkage == Linkage::Public {
         "pub"
     } else {
         "static"
     };
-    let dead = if dead { " dead" } else { "" };
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "func {} {} {} params={} regs={} ret={}{}",
-        f.name, f.module.0, link, f.params, f.num_regs, f.ret, dead
+        "func {} {} {} params={} regs={} ret={}",
+        f.name, f.module.0, link, f.params, f.num_regs, f.ret
     );
+    let dead_at = dead.then(|| {
+        let at = out.len();
+        out.push_str(DEAD_SUFFIX);
+        at
+    });
+    out.push('\n');
     if !f.slots.is_empty() {
         let _ = write!(out, "slots");
         for s in &f.slots {
@@ -142,6 +229,7 @@ fn write_function(out: &mut String, f: &Function, dead: bool) {
         }
     }
     out.push_str("endfunc\n");
+    dead_at
 }
 
 /// Parses the text format back into a [`Program`].
@@ -685,6 +773,28 @@ mod tests {
         assert!(text.contains(" dead"));
         let q = parse_program_text(&text).unwrap();
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn rendered_records_hash_like_their_functions() {
+        let mut p = sample_program();
+        let helper = FuncId(1);
+        let m = p.func(helper).module;
+        p.modules[m.index()].funcs.retain(|&x| x != helper);
+        let rendered = ProgramText::render(&p);
+        assert_eq!(rendered.as_str(), program_to_text(&p));
+        // The dead helper's record carries the suffix; its hash skips it.
+        let own: Vec<u64> = p.funcs.iter().map(crate::hash_function).collect();
+        assert_eq!(rendered.function_hashes(), own);
+        let (head, tail) = rendered.environment();
+        assert!(
+            head.starts_with("hlo-ir v1\n") && head.ends_with("= 7 8\n"),
+            "{head}"
+        );
+        assert_eq!(tail, "entry 0\n");
+        // A program without functions is all environment.
+        let empty = ProgramText::render(&Program::new());
+        assert_eq!(empty.environment(), (empty.as_str(), ""));
     }
 
     #[test]

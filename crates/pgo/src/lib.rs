@@ -37,7 +37,12 @@ pub use store::{Aggregate, ProfileStore, PushOutcome, StoreError, StoreStats};
 /// The stable identity of a program in the store: FNV-1a-64 over the
 /// canonical `program_to_text` form, as 16 lowercase hex digits.
 pub fn program_key(p: &hlo_ir::Program) -> String {
-    let canonical = hlo_ir::program_to_text(p);
+    program_key_of_text(&hlo_ir::program_to_text(p))
+}
+
+/// [`program_key`] of the program whose canonical text is `canonical`,
+/// for a caller that has already rendered it.
+pub fn program_key_of_text(canonical: &str) -> String {
     format!("{:016x}", hlo_ir::fnv1a_64(canonical.as_bytes()))
 }
 

@@ -16,7 +16,7 @@
 //! optimize requests fail fast, but everything already queued or running
 //! is finished and its response written before [`Server::wait`] returns.
 
-use crate::cache::{request_key, CacheOutcome, CachedResult, RequestKey, ResultCache};
+use crate::cache::{request_key_of, CacheOutcome, CachedResult, RequestKey, ResultCache};
 use crate::incremental;
 use crate::wire::{Frame, FrameError, Kind, Sections, DEFAULT_MAX_PAYLOAD};
 use crate::{
@@ -28,7 +28,7 @@ use hlo::{
     FlightRecorder, HloOptions, MetricsRegistry, PartitionAction, TraceLevel, Tracer,
     DRIFT_BUCKETS_MILLIS, LATENCY_BUCKETS_US,
 };
-use hlo_ir::Program;
+use hlo_ir::{Program, ProgramText};
 use hlo_pgo::ProfileStore;
 use hlo_profile::ProfileDb;
 use std::collections::HashMap;
@@ -126,10 +126,11 @@ struct Job {
 }
 
 /// Names of the per-request phase latency histograms, in request order:
-/// time spent queued, probing the cache, optimizing (misses only), and
-/// writing the reply. Each is a `request_<phase>_us` histogram over
-/// [`LATENCY_BUCKETS_US`].
-pub const REQUEST_PHASES: &[&str] = &["queue_wait", "cache_probe", "optimize", "reply"];
+/// time spent queued, compiling (front end, the canonical rendering, the
+/// program key and the profile), probing the cache, optimizing (misses
+/// only), and writing the reply. Each is a `request_<phase>_us` histogram
+/// over [`LATENCY_BUCKETS_US`].
+pub const REQUEST_PHASES: &[&str] = &["queue_wait", "compile", "cache_probe", "optimize", "reply"];
 
 fn phase_metric(phase: &str) -> String {
     format!("request_{phase}_us")
@@ -572,6 +573,10 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
         shared.metrics.inc("errors_total");
         job_failed(shared, &trace_id, reason, msg, queue_us, job.req_bytes)
     };
+    // The compile phase: front end, the one canonical rendering every key
+    // comes from, the program key, and the profile the request will
+    // optimize with.
+    let compile_t = Instant::now();
     let mut program = match &req.source {
         SourceKind::Minc(mods) => {
             let refs: Vec<(&str, &str)> =
@@ -591,11 +596,12 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
             Err(e) => return fail("parse", &format!("bad IR text: {e}")),
         },
     };
+    let rendered = ProgramText::render(&program);
     // Every optimized program registers with the pgo store, whatever
     // profile mode built it: pushes are accepted for any program the
     // daemon has seen, so a fleet can start streaming profiles before
     // the first `profile: server` rebuild.
-    let pkey = hlo_pgo::program_key(&program);
+    let pkey = hlo_pgo::program_key_of_text(rendered.as_str());
     {
         let mut store = shared.pgo.lock().unwrap();
         let created = store.register(&pkey).expect("program keys are well-formed");
@@ -603,36 +609,43 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
             persist_store(shared, &store);
         }
     }
-    // Resolve the request's profile. `server` mode consults the pgo
-    // store *at dequeue time* — the whole point of continuous PGO is
-    // that the profile a request optimizes with is whatever the fleet
-    // has pushed by now, not whatever the client last saw.
-    let (profile, key_profile_text, server_mode) = match &req.profile {
-        ProfileSpec::None => (None, String::new(), false),
+    // Resolve the request's profile and render it once: that text is the
+    // cached entry's build profile and the partition-key salt, and, but
+    // for `server` mode, what the request key hashes. `server` mode
+    // consults the pgo store *at dequeue time* — the whole point of
+    // continuous PGO is that the profile a request optimizes with is
+    // whatever the fleet has pushed by now, not whatever the client last
+    // saw.
+    let (profile, server_mode) = match &req.profile {
+        ProfileSpec::None => (None, false),
         ProfileSpec::Text(text) => match ProfileDb::from_text(text) {
-            // Key on the canonical (re-serialized) profile so equivalent
-            // profile texts address the same result.
-            Ok(db) => {
-                let canonical = db.to_text();
-                (Some(db), canonical, false)
-            }
+            Ok(db) => (Some(db), false),
             Err(e) => return fail("profile", &format!("bad profile: {e}")),
         },
-        ProfileSpec::Server => {
-            // The cache key uses a fixed marker, not the aggregate text:
-            // the entry must be *found* across profile drift so the
-            // drift check (below) can decide hit vs stale, and a
-            // server-mode request must never collide with a profile-free
-            // one.
-            let merged = shared.pgo.lock().unwrap().merged(&pkey);
-            (merged, SERVER_PROFILE_MARKER.to_string(), true)
-        }
+        ProfileSpec::Server => (shared.pgo.lock().unwrap().merged(&pkey), true),
     };
     let profile_text = profile.as_ref().map(ProfileDb::to_text).unwrap_or_default();
+    // Equivalent profile texts key on their one canonical rendering, so
+    // they address the same result. A `server` request keys on a fixed
+    // marker instead of the aggregate: the entry must be *found* across
+    // profile drift so the drift check (below) can decide hit vs stale,
+    // and it must never collide with a profile-free request.
+    let key_profile_text = if server_mode {
+        SERVER_PROFILE_MARKER
+    } else {
+        profile_text.as_str()
+    };
+    let compile_us = compile_t.elapsed().as_micros() as u64;
+    observe_phase(shared, "compile", compile_us);
+    phases.push(("compile".to_string(), compile_us));
+    if traced {
+        tracer.leaf_seq("compile", Duration::from_micros(compile_us));
+    }
 
     let probe_t = Instant::now();
     let mut cg = CallGraphCache::new();
-    let key = request_key(&program, &req.options, &key_profile_text, &mut cg);
+    let key = request_key_of(&program, &rendered, &req.options, key_profile_text, &mut cg);
+    drop(rendered);
     let (cached, mut outcome) = shared.cache.lock().unwrap().lookup(&key);
 
     // Continuous PGO: a resident entry is only servable while the
@@ -1332,6 +1345,8 @@ mod tests {
                 "latency",
                 "latency",
                 "latency",
+                "latency",
+                "quantile",
                 "quantile",
                 "quantile",
                 "quantile",
@@ -1340,7 +1355,8 @@ mod tests {
         );
         assert!(empty.starts_with("uptime_ms 7\nrequests 0\n"), "{empty}");
         assert!(empty.lines().skip(1).all(|l| l.ends_with(" 0")), "{empty}");
-        assert!(empty.contains("latency queue_wait 0 0\nlatency cache_probe 0 0\n"));
+        assert!(empty
+            .contains("latency queue_wait 0 0\nlatency compile 0 0\nlatency cache_probe 0 0\n"));
         assert!(empty.contains("quantile reply 0 0 0\n"));
 
         // Labeled stage series come out sorted by stage name, and one

@@ -83,7 +83,7 @@ fn traced_request_round_trips_spans_flight_and_chrome() {
         "{}",
         trace.spans
     );
-    for phase in ["queue_wait", "cache_probe", "optimize", "reply"] {
+    for phase in ["queue_wait", "compile", "cache_probe", "optimize", "reply"] {
         assert!(
             trace.spans.contains(phase),
             "missing {phase}:\n{}",
@@ -121,7 +121,7 @@ fn traced_request_round_trips_spans_flight_and_chrome() {
     assert_eq!(st.traces_stored, 1);
     assert_eq!(st.flight_records, 1);
     assert!(st.events_emitted > 0);
-    assert_eq!(st.quantiles.len(), 4);
+    assert_eq!(st.quantiles.len(), 5);
     let optimize_q = st.quantiles.iter().find(|(p, ..)| p == "optimize").unwrap();
     let optimize_lat = st.latencies.iter().find(|(p, ..)| p == "optimize").unwrap();
     // One observation: every quantile is that observation, within the
@@ -140,7 +140,7 @@ fn traced_request_round_trips_spans_flight_and_chrome() {
 
     // The quantile gauges surface in the metrics exposition.
     let metrics = client.metrics().unwrap();
-    for phase in ["queue_wait", "cache_probe", "optimize", "reply"] {
+    for phase in ["queue_wait", "compile", "cache_probe", "optimize", "reply"] {
         for p in ["p50", "p95", "p99"] {
             assert!(
                 metrics.contains(&format!("request_{phase}_{p}_us")),
@@ -418,6 +418,10 @@ fn daemon_metric_name_set_is_pinned() {
             "request_cache_probe_p95_us",
             "request_cache_probe_p99_us",
             "request_cache_probe_us",
+            "request_compile_p50_us",
+            "request_compile_p95_us",
+            "request_compile_p99_us",
+            "request_compile_us",
             "request_optimize_p50_us",
             "request_optimize_p95_us",
             "request_optimize_p99_us",
