@@ -10,14 +10,16 @@
 //! 2. the warm replay is byte-identical to the cold one;
 //! 3. the warm replay hits the cache on every program (100% hit rate —
 //!    warm requests are pure lookups), and the daemon counts exactly one
-//!    hit and one miss per program.
+//!    hit and one miss per program;
+//! 4. every warm request is a source-index hit (the daemon counts one
+//!    `source_hits` per program), so no warm request runs the front end.
 //!
 //! Latencies (median and min–max over the repeats) and the hit rate are
 //! printed and written to `BENCH_serve.json`. Warm speedup on this suite
 //! is large (lookups skip the optimizer entirely) but the gate is
 //! identity, not speed.
 //!
-//! A fourth property gates the **edit-one-function** scenario, also
+//! A fifth property gates the **edit-one-function** scenario, also
 //! repeated on fresh daemons: after a single-constant edit to one module
 //! of a many-module program, the daemon must splice every untouched
 //! partition from its store (`partition_hits > 0`, `partition_rebuilds`
@@ -97,10 +99,11 @@ fn main() -> ExitCode {
 
     println!(
         "serve_bench: suite through hlod, {REPEATS} repeats on fresh daemons \
-         (gate: byte-identity + warm hits)"
+         (gate: byte-identity + warm hits + warm source hits)"
     );
     let mut ok = true;
     let mut hits = 0;
+    let mut source_hits = 0;
     for _ in 0..REPEATS {
         let server = match Server::spawn("127.0.0.1:0", ServeConfig::default()) {
             Ok(s) => s,
@@ -125,7 +128,9 @@ fn main() -> ExitCode {
         let stats = client.stats().expect("stats request");
         let programs = cases.len() as u64;
         ok &= stats.hits == programs && stats.misses == programs;
+        ok &= stats.source_hits == programs;
         hits += stats.hits;
+        source_hits += stats.source_hits;
         client.shutdown().expect("shutdown");
         server.wait();
     }
@@ -155,6 +160,7 @@ fn main() -> ExitCode {
     hlo_bench::rule(82);
 
     let hit_rate = hits as f64 / (REPEATS * cases.len()) as f64;
+    let source_hit_rate = source_hits as f64 / (REPEATS * cases.len()) as f64;
     let total = |us: fn(&Row) -> &Vec<u64>| {
         let sums: Vec<u64> = (0..REPEATS)
             .map(|r| rows.iter().map(|row| us(row)[r]).sum())
@@ -165,9 +171,10 @@ fn main() -> ExitCode {
     let warm_total = total(|row| &row.warm_us);
     println!(
         "total: {cold_total} us cold, {warm_total} us warm ({:.1}x on medians), \
-         warm hit rate {:.0}%",
+         warm hit rate {:.0}%, warm source hit rate {:.0}%",
         cold_total.median as f64 / warm_total.median.max(1) as f64,
-        hit_rate * 100.0
+        hit_rate * 100.0,
+        source_hit_rate * 100.0
     );
 
     let restart_warm = restart_warmth_probe();
@@ -184,7 +191,15 @@ fn main() -> ExitCode {
     let (edit_ok, edit) = warm_edit_probe();
     ok &= edit_ok;
 
-    let json = render_json(hit_rate, cold_total, warm_total, restart_warm, &rows, &edit);
+    let json = render_json(
+        hit_rate,
+        source_hit_rate,
+        cold_total,
+        warm_total,
+        restart_warm,
+        &rows,
+        &edit,
+    );
     let path = "BENCH_serve.json";
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("serve_bench: cannot write {path}: {e}");
@@ -195,7 +210,10 @@ fn main() -> ExitCode {
     if ok {
         ExitCode::SUCCESS
     } else {
-        eprintln!("serve_bench: IDENTITY OR HIT-RATE GATE FAILED — see rows marked NO");
+        eprintln!(
+            "serve_bench: IDENTITY OR HIT-RATE GATE FAILED — see rows marked NO \
+             and the hit rates"
+        );
         ExitCode::FAILURE
     }
 }
@@ -462,6 +480,7 @@ fn warm_edit_probe() -> (bool, EditRow) {
 /// is a [`Spread`] object over the repeats.
 fn render_json(
     hit_rate: f64,
+    source_hit_rate: f64,
     cold_total: Spread,
     warm_total: Spread,
     restart_warm: bool,
@@ -472,6 +491,7 @@ fn render_json(
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"repeats\": {REPEATS},");
     let _ = writeln!(s, "  \"warm_hit_rate\": {hit_rate:.4},");
+    let _ = writeln!(s, "  \"warm_source_hit_rate\": {source_hit_rate:.4},");
     let _ = writeln!(s, "  \"restart_warm\": {restart_warm},");
     let _ = writeln!(s, "  \"cold_total_us\": {},", cold_total.json());
     let _ = writeln!(s, "  \"warm_total_us\": {},", warm_total.json());

@@ -1,5 +1,6 @@
 //! The profile database.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -184,7 +185,12 @@ impl ProfileDb {
                 }
                 "end" => {
                     let (k, v) = cur.take().ok_or_else(|| err("`end` outside func"))?;
-                    merge_counts(db.funcs.entry(k).or_default(), &v);
+                    match db.funcs.entry(k) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(v);
+                        }
+                        Entry::Occupied(mut slot) => merge_counts(slot.get_mut(), &v),
+                    }
                 }
                 other => return Err(err(&format!("unknown record `{other}`"))),
             }

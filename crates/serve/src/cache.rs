@@ -32,7 +32,17 @@
 //! byte-identical to a cold in-process `optimize` call — verified per
 //! request, with a full rebuild as the fallback when verification or
 //! eligibility fails.
+//!
+//! A fourth map, the **source index**, sits in front of the other three.
+//! It maps `source_digest` — a hash of a request's raw inputs, taken
+//! before the front end runs — to the request key and the PGO program key
+//! that request's one canonical rendering produced. A byte-identical
+//! repeat finds its keys there and skips the front end, the rendering,
+//! the profile parse and the call graph; an edited source, a renamed or
+//! reordered module, other options or another profile text digest
+//! differently and compile as before.
 
+use crate::{OptimizeRequest, ProfileSpec, SourceKind};
 use hlo::{CallGraphCache, HloOptions, ReusedPartition};
 use hlo_ir::{Fnv64, Program, ProgramText};
 use std::collections::hash_map::Entry as MapEntry;
@@ -108,6 +118,58 @@ pub fn request_key_of(
         program: program.finish(),
         funcs,
     }
+}
+
+/// The source-index digest of a request: a tagged FNV over its raw
+/// inputs, before any of them is parsed. It covers the options
+/// fingerprint, the source kind with each module's name and source in
+/// order (or the IR text), and the profile spec with its raw text. Every
+/// variable-length field is length-prefixed, so no two requests that
+/// differ in a field share an encoding. Deadline, training argument and
+/// trace id are not inputs to the keys, so they are not digested.
+pub(crate) fn source_digest(req: &OptimizeRequest) -> u64 {
+    fn field(h: &mut Fnv64, bytes: &[u8]) {
+        h.write_u64(bytes.len() as u64).write(bytes);
+    }
+    let mut h = Fnv64::new();
+    h.write(b"hlo-serve source v1")
+        .write_u64(req.options.fingerprint());
+    match &req.source {
+        SourceKind::Minc(mods) => {
+            h.write(b"m").write_u64(mods.len() as u64);
+            for (name, src) in mods {
+                field(&mut h, name.as_bytes());
+                field(&mut h, src.as_bytes());
+            }
+        }
+        SourceKind::Ir(text) => {
+            h.write(b"i");
+            field(&mut h, text.as_bytes());
+        }
+    }
+    match &req.profile {
+        ProfileSpec::None => {
+            h.write(b"n");
+        }
+        ProfileSpec::Text(text) => {
+            h.write(b"t");
+            field(&mut h, text.as_bytes());
+        }
+        ProfileSpec::Server => {
+            h.write(b"s");
+        }
+    }
+    h.finish()
+}
+
+/// What the source index holds for one digest: the keys the request's
+/// one canonical rendering produced.
+#[derive(Debug, Clone)]
+pub(crate) struct SourceEntry {
+    /// The request key ([`request_key_of`]).
+    pub(crate) key: RequestKey,
+    /// The PGO program key ([`hlo_pgo::program_key_of_text`]).
+    pub(crate) program_key: String,
 }
 
 /// A cached optimization result.
@@ -235,6 +297,9 @@ pub struct ResultCache {
     /// entries (a program is a handful of partitions, so the store keeps
     /// several generations of edits warm). Touched on probe hits.
     parts: LruMap<ReusedPartition>,
+    /// Source index: [`source_digest`] to the request's keys; bounded at
+    /// `cap` entries. Touched on hits.
+    sources: LruMap<SourceEntry>,
 }
 
 impl ResultCache {
@@ -248,6 +313,7 @@ impl ResultCache {
             func_keys: HashSet::new(),
             func_order: VecDeque::new(),
             parts: LruMap::default(),
+            sources: LruMap::default(),
         }
     }
 
@@ -319,6 +385,24 @@ impl ResultCache {
     /// Partition bodies currently resident in the partition store.
     pub fn partition_entries(&self) -> u64 {
         self.parts.len() as u64
+    }
+
+    /// The keys the source index holds for `digest`, touching its LRU
+    /// slot. The result cache may no longer hold the program they
+    /// address.
+    pub(crate) fn source(&mut self, digest: u64) -> Option<SourceEntry> {
+        self.sources.get(digest).cloned()
+    }
+
+    /// Indexes the keys of a request that compiled, evicting the coldest
+    /// entry past `cap` (`cap == 0` indexes nothing).
+    pub(crate) fn insert_source(&mut self, digest: u64, entry: SourceEntry) {
+        self.sources.insert(digest, entry);
+        while self.sources.len() > self.cap {
+            if self.sources.pop_coldest().is_none() {
+                break;
+            }
+        }
     }
 
     /// Looks up one partition's stored bodies, touching its LRU slot.
@@ -590,6 +674,80 @@ mod tests {
         let (got, out) = cache.lookup(&k);
         assert_eq!(got.unwrap().profile_text, "func m f 1\nblocks 1\nend\n");
         assert!(out.hit && !out.stale);
+    }
+
+    #[test]
+    fn source_digest_keeps_fields_apart() {
+        let minc = |mods: &[(&str, &str)]| {
+            OptimizeRequest::from_minc(
+                mods.iter()
+                    .map(|(n, s)| (n.to_string(), s.to_string()))
+                    .collect(),
+            )
+        };
+        let base = minc(&[("ab", "c")]);
+        let digests = [
+            source_digest(&base),
+            source_digest(&minc(&[("a", "bc")])),
+            source_digest(&minc(&[("ab", ""), ("c", "")])),
+            source_digest(&OptimizeRequest {
+                source: SourceKind::Ir("c".to_string()),
+                ..base.clone()
+            }),
+            source_digest(&OptimizeRequest {
+                profile: ProfileSpec::Text(String::new()),
+                ..base.clone()
+            }),
+            source_digest(&OptimizeRequest {
+                profile: ProfileSpec::Server,
+                ..base.clone()
+            }),
+        ];
+        let distinct: HashSet<u64> = digests.iter().copied().collect();
+        assert_eq!(distinct.len(), digests.len(), "{digests:x?}");
+        // What the keys do not read leaves the digest alone.
+        let unkeyed = OptimizeRequest {
+            deadline_ms: Some(5),
+            train_arg: Some(1),
+            trace_id: Some("0123456789abcdef".to_string()),
+            ..base.clone()
+        };
+        assert_eq!(source_digest(&unkeyed), digests[0]);
+    }
+
+    #[test]
+    fn source_index_is_an_lru_bounded_by_the_cap() {
+        let entry = |n: u64| SourceEntry {
+            key: RequestKey {
+                program: n,
+                funcs: vec![n],
+            },
+            program_key: format!("{n:016x}"),
+        };
+        let mut cache = ResultCache::new(2);
+        cache.insert_source(1, entry(1));
+        cache.insert_source(2, entry(2));
+        assert_eq!(cache.source(1).unwrap().key.program, 1);
+        cache.insert_source(3, entry(3));
+        assert!(cache.source(2).is_none(), "the coldest digest goes");
+        assert!(cache.source(1).is_some() && cache.source(3).is_some());
+        assert_eq!(cache.sources.len(), 2);
+        // Evicting a result leaves its index entry, which then addresses a
+        // program the cache no longer holds.
+        let result = CachedResult {
+            ir_text: String::new(),
+            report_text: String::new(),
+            profile_text: String::new(),
+        };
+        cache.insert(&entry(1).key, result.clone());
+        cache.insert(&entry(3).key, result.clone());
+        cache.insert(&entry(4).key, result);
+        let kept = cache.source(1).expect("an index entry outlives its result");
+        assert!(cache.lookup(&kept.key).0.is_none());
+
+        let mut off = ResultCache::new(0);
+        off.insert_source(1, entry(1));
+        assert!(off.source(1).is_none(), "cap 0 indexes nothing");
     }
 
     #[test]

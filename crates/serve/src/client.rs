@@ -93,6 +93,9 @@ pub struct ServeStats {
     /// Cache hits reclassified stale because the server-side profile
     /// aggregate drifted past threshold since the entry was built.
     pub stale_hits: u64,
+    /// Requests whose raw inputs were in the source index, so their
+    /// compile phase skipped the front end.
+    pub source_hits: u64,
     /// Programs evicted by the LRU bound.
     pub evictions: u64,
     /// Function cone keys already known at lookup time.
@@ -130,7 +133,8 @@ pub struct ServeStats {
     /// Aggregate `(stage, wall_us)` over all non-cached runs.
     pub stages: Vec<(String, u64)>,
     /// Per-phase request latency `(phase, count, sum_us)`, in the order
-    /// the daemon reports them (queue wait, cache probe, optimize, reply).
+    /// the daemon reports them (queue wait, compile, cache probe, optimize,
+    /// reply).
     pub latencies: Vec<(String, u64, u64)>,
     /// Per-phase latency quantiles `(phase, p50_us, p95_us, p99_us)` from
     /// the daemon's streaming sketches, in reporting order.
@@ -164,6 +168,7 @@ impl ServeStats {
                 "hits" => st.hits = num(&mut parts, line)?,
                 "misses" => st.misses = num(&mut parts, line)?,
                 "stale_hits" => st.stale_hits = num(&mut parts, line)?,
+                "source_hits" => st.source_hits = num(&mut parts, line)?,
                 "evictions" => st.evictions = num(&mut parts, line)?,
                 "func_hits" => st.func_hits = num(&mut parts, line)?,
                 "func_misses" => st.func_misses = num(&mut parts, line)?,

@@ -16,7 +16,9 @@
 //! optimize requests fail fast, but everything already queued or running
 //! is finished and its response written before [`Server::wait`] returns.
 
-use crate::cache::{request_key_of, CacheOutcome, CachedResult, RequestKey, ResultCache};
+use crate::cache::{
+    request_key_of, source_digest, CacheOutcome, CachedResult, RequestKey, ResultCache, SourceEntry,
+};
 use crate::incremental;
 use crate::wire::{Frame, FrameError, Kind, Sections, DEFAULT_MAX_PAYLOAD};
 use crate::{
@@ -126,10 +128,12 @@ struct Job {
 }
 
 /// Names of the per-request phase latency histograms, in request order:
-/// time spent queued, compiling (front end, the canonical rendering, the
-/// program key and the profile), probing the cache, optimizing (misses
-/// only), and writing the reply. Each is a `request_<phase>_us` histogram
-/// over [`LATENCY_BUCKETS_US`].
+/// time spent queued, compiling (the source-index probe and, on an index
+/// miss, the front end, the canonical rendering, the program key and the
+/// profile), probing the cache, optimizing (misses only, with the late
+/// front end of an index hit the cache could not answer), and writing the
+/// reply. Each is a `request_<phase>_us` histogram over
+/// [`LATENCY_BUCKETS_US`].
 pub const REQUEST_PHASES: &[&str] = &["queue_wait", "compile", "cache_probe", "optimize", "reply"];
 
 fn phase_metric(phase: &str) -> String {
@@ -573,67 +577,69 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
         shared.metrics.inc("errors_total");
         job_failed(shared, &trace_id, reason, msg, queue_us, job.req_bytes)
     };
-    // The compile phase: front end, the one canonical rendering every key
-    // comes from, the program key, and the profile the request will
-    // optimize with.
+    // The compile phase. On a source-index miss it runs the front end,
+    // renders the program once (every key comes from that text), takes the
+    // program key and parses and renders an inline profile. A source-index
+    // hit holds the keys that rendering gave when the request was indexed,
+    // so it skips all of that; it compiles only if the result cache cannot
+    // answer it.
     let compile_t = Instant::now();
-    let mut program = match &req.source {
-        SourceKind::Minc(mods) => {
-            let refs: Vec<(&str, &str)> =
-                mods.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
-            match hlo_frontc::compile(&refs) {
-                Ok(p) => p,
-                Err(e) => return fail("compile", &format!("compile failed: {e}")),
-            }
+    let digest = source_digest(req);
+    let entry = shared.cache.lock().unwrap().source(digest);
+    let (program_key, front) = match entry {
+        Some(entry) => {
+            shared.metrics.inc("cache_source_hits_total");
+            #[cfg(debug_assertions)]
+            check_indexed_keys(req, &entry);
+            (entry.program_key, Front::Indexed(entry.key))
         }
-        SourceKind::Ir(text) => match hlo_ir::parse_program_text(text) {
-            Ok(p) => {
-                if let Err(e) = hlo_ir::verify_program(&p) {
-                    return fail("verify", &format!("invalid IR: {e}"));
-                }
-                p
-            }
-            Err(e) => return fail("parse", &format!("bad IR text: {e}")),
-        },
+        None => {
+            let program = match front_end(&req.source) {
+                Ok(p) => p,
+                Err((reason, msg)) => return fail(reason, &msg),
+            };
+            let rendered = ProgramText::render(&program);
+            let pkey = hlo_pgo::program_key_of_text(rendered.as_str());
+            (pkey, Front::Compiled(program, rendered))
+        }
     };
-    let rendered = ProgramText::render(&program);
+    let indexed = matches!(front, Front::Indexed(_));
     // Every optimized program registers with the pgo store, whatever
     // profile mode built it: pushes are accepted for any program the
     // daemon has seen, so a fleet can start streaming profiles before
     // the first `profile: server` rebuild.
-    let pkey = hlo_pgo::program_key_of_text(rendered.as_str());
     {
         let mut store = shared.pgo.lock().unwrap();
-        let created = store.register(&pkey).expect("program keys are well-formed");
+        let created = store
+            .register(&program_key)
+            .expect("program keys are well-formed");
         if created {
             persist_store(shared, &store);
         }
     }
-    // Resolve the request's profile and render it once: that text is the
-    // cached entry's build profile and the partition-key salt, and, but
-    // for `server` mode, what the request key hashes. `server` mode
-    // consults the pgo store *at dequeue time* — the whole point of
-    // continuous PGO is that the profile a request optimizes with is
-    // whatever the fleet has pushed by now, not whatever the client last
-    // saw.
-    let (profile, server_mode) = match &req.profile {
-        ProfileSpec::None => (None, false),
-        ProfileSpec::Text(text) => match ProfileDb::from_text(text) {
-            Ok(db) => (Some(db), false),
-            Err(e) => return fail("profile", &format!("bad profile: {e}")),
-        },
-        ProfileSpec::Server => (shared.pgo.lock().unwrap().merged(&pkey), true),
-    };
-    let profile_text = profile.as_ref().map(ProfileDb::to_text).unwrap_or_default();
-    // Equivalent profile texts key on their one canonical rendering, so
-    // they address the same result. A `server` request keys on a fixed
-    // marker instead of the aggregate: the entry must be *found* across
-    // profile drift so the drift check (below) can decide hit vs stale,
-    // and it must never collide with a profile-free request.
-    let key_profile_text = if server_mode {
-        SERVER_PROFILE_MARKER
+    // Resolve the request's profile. `server` mode consults the pgo store
+    // *at dequeue time* — the whole point of continuous PGO is that the
+    // profile a request optimizes with is whatever the fleet has pushed by
+    // now, not whatever the client last saw. An indexed inline profile
+    // parsed when it was indexed, so only a late compile parses it again.
+    let server_mode = matches!(req.profile, ProfileSpec::Server);
+    let profile = if server_mode {
+        shared.pgo.lock().unwrap().merged(&program_key)
+    } else if indexed {
+        None
     } else {
-        profile_text.as_str()
+        match inline_profile(&req.profile) {
+            Ok(db) => db,
+            Err(msg) => return fail("profile", &msg),
+        }
+    };
+    // On an index miss the profile is rendered once: that text is the
+    // cached entry's build profile and the partition-key salt, and, but
+    // for `server` mode, what the request key hashes.
+    let profile_text = if indexed {
+        String::new()
+    } else {
+        profile.as_ref().map(ProfileDb::to_text).unwrap_or_default()
     };
     let compile_us = compile_t.elapsed().as_micros() as u64;
     observe_phase(shared, "compile", compile_us);
@@ -644,9 +650,28 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
 
     let probe_t = Instant::now();
     let mut cg = CallGraphCache::new();
-    let key = request_key_of(&program, &rendered, &req.options, key_profile_text, &mut cg);
-    drop(rendered);
-    let (cached, mut outcome) = shared.cache.lock().unwrap().lookup(&key);
+    let (key, compiled) = match front {
+        Front::Indexed(key) => (key, None),
+        Front::Compiled(program, rendered) => {
+            let key_profile = key_profile_text(server_mode, &profile_text);
+            let key = request_key_of(&program, &rendered, &req.options, key_profile, &mut cg);
+            (key, Some(program))
+        }
+    };
+    let (cached, mut outcome) = {
+        let mut cache = shared.cache.lock().unwrap();
+        if !indexed {
+            // The request compiled, so its keys enter the index.
+            cache.insert_source(
+                digest,
+                SourceEntry {
+                    key: key.clone(),
+                    program_key,
+                },
+            );
+        }
+        cache.lookup(&key)
+    };
 
     // Continuous PGO: a resident entry is only servable while the
     // aggregate is still within threshold of the profile it was built
@@ -711,6 +736,15 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
         Some(c) => (c.ir_text, c.report_text),
         None => {
             let opt_t = Instant::now();
+            // An index hit whose entry was evicted or went stale compiles
+            // here, late, so its front end counts under `optimize`.
+            let (mut program, profile, profile_text) = match compiled {
+                Some(program) => (program, profile, profile_text),
+                None => match late_compile(req, profile) {
+                    Ok(c) => c,
+                    Err((reason, msg)) => return fail(reason, &msg),
+                },
+            };
             let report = optimize_miss(
                 shared,
                 &mut program,
@@ -862,6 +896,108 @@ fn run_job(shared: &Arc<Shared>, job: &Job, queue_us: u64) -> Frame {
         }
     }
     frame
+}
+
+/// Where the compile phase leaves a request for the cache probe.
+enum Front {
+    /// A source-index hit: the request key its one canonical rendering
+    /// gave when the request was indexed.
+    Indexed(RequestKey),
+    /// A source-index miss: the program through the front end, and its
+    /// one canonical rendering.
+    Compiled(Program, ProgramText),
+}
+
+/// Runs the front end over a request's source: MinC through
+/// [`hlo_frontc::compile`], IR text through the parser and the verifier.
+/// A failure names its `errors_total` reason and its message.
+fn front_end(source: &SourceKind) -> Result<Program, (&'static str, String)> {
+    match source {
+        SourceKind::Minc(mods) => {
+            let refs: Vec<(&str, &str)> =
+                mods.iter().map(|(n, s)| (n.as_str(), s.as_str())).collect();
+            hlo_frontc::compile(&refs).map_err(|e| ("compile", format!("compile failed: {e}")))
+        }
+        SourceKind::Ir(text) => {
+            let p = hlo_ir::parse_program_text(text)
+                .map_err(|e| ("parse", format!("bad IR text: {e}")))?;
+            hlo_ir::verify_program(&p).map_err(|e| ("verify", format!("invalid IR: {e}")))?;
+            Ok(p)
+        }
+    }
+}
+
+/// Parses a request's inline profile; `None` for a `none` or `server`
+/// request.
+fn inline_profile(spec: &ProfileSpec) -> Result<Option<ProfileDb>, String> {
+    match spec {
+        ProfileSpec::Text(text) => ProfileDb::from_text(text)
+            .map(Some)
+            .map_err(|e| format!("bad profile: {e}")),
+        ProfileSpec::None | ProfileSpec::Server => Ok(None),
+    }
+}
+
+/// Compiles a source-index hit that the result cache could not answer:
+/// the front end and, for an inline profile, its parse. A `server`
+/// request keeps the aggregate `profile` its compile phase resolved.
+/// Returns the program, the profile and the profile's canonical text.
+fn late_compile(
+    req: &OptimizeRequest,
+    profile: Option<ProfileDb>,
+) -> Result<(Program, Option<ProfileDb>, String), (&'static str, String)> {
+    let program = front_end(&req.source)?;
+    let profile = match req.profile {
+        ProfileSpec::Server => profile,
+        _ => inline_profile(&req.profile).map_err(|msg| ("profile", msg))?,
+    };
+    let profile_text = profile.as_ref().map(ProfileDb::to_text).unwrap_or_default();
+    Ok((program, profile, profile_text))
+}
+
+/// The profile text a request key hashes. Equivalent profile texts key
+/// on their one canonical rendering, so they address the same result. A
+/// `server` request keys on a fixed marker instead of the aggregate: the
+/// entry must be *found* across profile drift so the drift check can
+/// decide hit vs stale, and it must never collide with a profile-free
+/// request.
+fn key_profile_text(server_mode: bool, profile_text: &str) -> &str {
+    if server_mode {
+        SERVER_PROFILE_MARKER
+    } else {
+        profile_text
+    }
+}
+
+/// The debug oracle: the keys a source-index hit reads must equal the
+/// ones a fresh compile of the same request derives. A mismatch means the
+/// digest left out an input the keys depend on.
+#[cfg(debug_assertions)]
+fn check_indexed_keys(req: &OptimizeRequest, entry: &SourceEntry) {
+    let program = front_end(&req.source)
+        .unwrap_or_else(|(_, msg)| panic!("source index holds a request that fails: {msg}"));
+    let rendered = ProgramText::render(&program);
+    let profile = inline_profile(&req.profile).expect("an indexed profile parses");
+    let profile_text = profile.as_ref().map(ProfileDb::to_text).unwrap_or_default();
+    let server_mode = matches!(req.profile, ProfileSpec::Server);
+    let key = request_key_of(
+        &program,
+        &rendered,
+        &req.options,
+        key_profile_text(server_mode, &profile_text),
+        &mut CallGraphCache::new(),
+    );
+    let program_key = hlo_pgo::program_key_of_text(rendered.as_str());
+    if program_key != entry.program_key
+        || key.program != entry.key.program
+        || key.funcs != entry.key.funcs
+    {
+        panic!(
+            "source index is stale: it holds program key {} and request key {:016x}, \
+             but a fresh compile gives {} and {:016x}",
+            entry.program_key, entry.key.program, program_key, key.program
+        );
+    }
 }
 
 /// Optimizes a program the cache could not serve whole: probe the
@@ -1196,6 +1332,7 @@ pub const STATS_SERIES: &[(&str, &str)] = &[
     ("hits", "cache_hits_total"),
     ("misses", "cache_misses_total"),
     ("stale_hits", "pgo_reoptimize_total"),
+    ("source_hits", "cache_source_hits_total"),
     ("evictions", "cache_evictions"),
     ("func_hits", "cache_func_hits_total"),
     ("func_misses", "cache_func_misses_total"),
@@ -1304,6 +1441,90 @@ mod tests {
         assert_eq!(effective_jobs(3), 3);
     }
 
+    /// An index entry whose result was evicted. One client cannot leave
+    /// this state: each result insert comes with an index insert or hit,
+    /// and the index is bounded like the results. It takes a second worker
+    /// whose miss lands between this request's index insert and its result
+    /// insert, so the test plants that worker's insert directly.
+    #[test]
+    fn an_index_hit_whose_result_was_evicted_compiles_late() {
+        let srcs = [(
+            "m",
+            "static fn sq(x) { return x * x; }
+             static fn pick(x) { if (x % 3 == 0) { return sq(x); } return x + 1; }
+             fn main(n) { var s = 0;
+                 for (var i = 0; i < n; i = i + 1) { s = s + pick(i); }
+                 return s; }",
+        )];
+        let program = hlo_frontc::compile(&srcs).unwrap();
+        let opts = hlo_vm::ExecOptions::default();
+        let (profile, _) = hlo_profile::collect_profile(&program, &[30], &opts).unwrap();
+        let optimized = |profile| {
+            let mut p = program.clone();
+            hlo::optimize(&mut p, profile, &HloOptions::default());
+            hlo_ir::program_to_text(&p)
+        };
+        let expect = optimized(Some(&profile));
+        assert_ne!(
+            expect,
+            optimized(None),
+            "the late compile must keep the profile"
+        );
+        let cfg = ServeConfig {
+            workers: 1,
+            cache_cap: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::spawn("127.0.0.1:0", cfg).unwrap();
+        let mut client = crate::Client::connect(server.local_addr()).unwrap();
+        let sources = srcs.map(|(n, s)| (n.to_string(), s.to_string())).to_vec();
+        let mut req = OptimizeRequest {
+            profile: ProfileSpec::Text(profile.to_text()),
+            ..OptimizeRequest::from_minc(sources)
+        };
+        client.optimize(&req).unwrap();
+        let evicted = server.shared.cache.lock().unwrap().insert(
+            &RequestKey {
+                program: 0,
+                funcs: Vec::new(),
+            },
+            CachedResult {
+                ir_text: String::new(),
+                report_text: String::new(),
+                profile_text: String::new(),
+            },
+        );
+        assert_eq!(evicted, 1);
+
+        let id = crate::mint_trace_id();
+        req.trace_id = Some(id.clone());
+        let late = client.optimize(&req).unwrap();
+        assert!(!late.outcome.hit && !late.outcome.stale);
+        assert_eq!(
+            late.ir_text, expect,
+            "a late compile gives the in-process bytes"
+        );
+        let st = client.stats().unwrap();
+        assert_eq!((st.hits, st.misses, st.source_hits), (0, 2, 1));
+        // The late front end counts under `optimize`, so the phases still
+        // sum to the wall time.
+        let trace = client.trace_fetch(&id).unwrap();
+        let names: Vec<&str> = trace.phases.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(names, REQUEST_PHASES);
+        assert_eq!(
+            trace.phases.iter().map(|(_, us)| us).sum::<u64>(),
+            trace.wall_us
+        );
+
+        // The result is back, under the same index entry.
+        let again = client.optimize(&req).unwrap();
+        assert!(again.outcome.hit);
+        assert_eq!(again.ir_text, expect);
+        assert_eq!(client.stats().unwrap().source_hits, 2);
+        client.shutdown().unwrap();
+        server.wait();
+    }
+
     #[test]
     fn stats_text_renders_the_exposition_through_the_table() {
         // An empty exposition: every scalar line in reply order reading 0,
@@ -1324,6 +1545,7 @@ mod tests {
                 "hits",
                 "misses",
                 "stale_hits",
+                "source_hits",
                 "evictions",
                 "func_hits",
                 "func_misses",

@@ -407,6 +407,7 @@ fn daemon_metric_name_set_is_pinned() {
             "cache_hits_total",
             "cache_misses_total",
             "cache_resident_bytes",
+            "cache_source_hits_total",
             "events_emitted",
             "flight_records",
             "incr_partition_hits_total",

@@ -567,6 +567,7 @@ fn remote_cmd(rest: &[String]) -> Result<(), String> {
             println!("cache hits      {}", st.hits);
             println!("cache misses    {}", st.misses);
             println!("stale hits      {}", st.stale_hits);
+            println!("source hits     {}", st.source_hits);
             println!("evictions       {}", st.evictions);
             println!("func cone hits  {}", st.func_hits);
             println!("func cone new   {}", st.func_misses);
