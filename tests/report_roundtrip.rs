@@ -84,6 +84,8 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
     );
     let lists = (
         prop::collection::vec(pass_strategy(), 0..6),
@@ -94,7 +96,15 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
             counts;
         let (initial_cost, final_cost, budget_limit, checks_run, lint_time_us, annotations) = costs;
         let (ipa_pure_calls, ipa_const_folds, ipa_store_forwards) = ipa;
-        let (summary_scans, summary_solves, opt_runs, opt_rounds, inline_evals) = work;
+        let (
+            summary_scans,
+            summary_solves,
+            opt_runs,
+            opt_rounds,
+            inline_evals,
+            graph_scans,
+            graph_assemblies,
+        ) = work;
         let (passes, stage_timings) = lists;
         HloReport {
             inlines,
@@ -118,6 +128,8 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
             opt_runs,
             opt_rounds,
             inline_evals,
+            graph_scans,
+            graph_assemblies,
             passes,
             stage_timings,
             diagnostics: Vec::new(),
