@@ -63,8 +63,10 @@ pub enum VerifyError {
     ArityMismatch {
         /// Offending (calling) function name.
         func: String,
-        /// The callee whose signature is violated.
-        callee: FuncId,
+        /// Name of the callee whose signature is violated. A name, not an
+        /// id, so the finding reads the same in a sub-program that
+        /// numbers its functions differently.
+        callee: String,
         /// Arguments the callee declares.
         expected: u32,
         /// Arguments the call site passes.
@@ -144,7 +146,7 @@ impl std::fmt::Display for VerifyError {
             } => {
                 write!(
                     f,
-                    "function {func}: call to {callee} passes {got} args, callee takes {expected}"
+                    "function {func}: call to `{callee}` passes {got} args, callee takes {expected}"
                 )
             }
             VerifyError::BadSymbol { func } => {
@@ -268,7 +270,7 @@ pub fn verify_program_all(p: &Program) -> Vec<VerifyError> {
                         Callee::Func(id) if p.func(*id).params as usize != args.len() => {
                             errs.push(VerifyError::ArityMismatch {
                                 func: f.name.clone(),
-                                callee: *id,
+                                callee: p.func(*id).name.clone(),
                                 expected: p.func(*id).params,
                                 got: args.len(),
                             });
@@ -430,15 +432,20 @@ mod tests {
         p.funcs.push(callee);
         p.modules[0].funcs.push(FuncId(0));
         p.modules[0].funcs.push(FuncId(1));
-        match verify_program(&p) {
-            Err(VerifyError::ArityMismatch {
+        let err = verify_program(&p).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "function caller: call to `callee` passes 1 args, callee takes 2"
+        );
+        match err {
+            VerifyError::ArityMismatch {
                 func,
                 callee,
                 expected,
                 got,
-            }) => {
+            } => {
                 assert_eq!(func, "caller");
-                assert_eq!(callee, FuncId(1));
+                assert_eq!(callee, "callee");
                 assert_eq!(expected, 2);
                 assert_eq!(got, 1);
             }
