@@ -14,7 +14,7 @@ use crate::legality::clone_restriction;
 use crate::transform::{make_clone, redirect_site_to_clone, scale_profile};
 use hlo_analysis::{CallGraph, CallGraphCache, CallGraphPartition, CallSiteRef};
 use hlo_ipa::SummaryCache;
-use hlo_ir::{Callee, ConstVal, FuncId, Function, Inst, Linkage, Operand, Program};
+use hlo_ir::{Callee, ConstVal, FuncId, FuncNames, Function, Inst, Linkage, Operand, Program};
 use hlo_trace::{DecisionEvent, DecisionKind, Tracer, Verdict};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -313,13 +313,14 @@ struct PartitionGroups {
 
 /// Runs one cloning pass under the stage budget. `ops_left` is the
 /// Figure 8 knob: each site replacement consumes one operation.
-#[allow(clippy::too_many_arguments)] // mirrors `inline_pass` plus the cross-pass clone database
+#[allow(clippy::too_many_arguments)] // mirrors `inline_pass` plus the clone database and name set
 pub fn clone_pass(
     p: &mut Program,
     budget: &mut Budget,
     pass: usize,
     opts: &HloOptions,
     db: &mut CloneDb,
+    names: &mut FuncNames,
     ops_left: &mut Option<u64>,
     cache: &mut CallGraphCache,
     sums: &mut SummaryCache,
@@ -429,7 +430,7 @@ pub fn clone_pass(
                     id
                 }
                 _ => {
-                    let id = make_clone(p, &g.spec);
+                    let id = make_clone(p, names, &g.spec);
                     db.insert(g.spec.clone(), id);
                     result.clones_created += 1;
                     // Split the clonee's profile between clone and original
@@ -564,6 +565,7 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 100, &[1.0]);
         let mut db = CloneDb::default();
+        let mut names = FuncNames::of(p);
         let mut cache = CallGraphCache::new();
         let mut sums = SummaryCache::new();
         clone_pass(
@@ -572,6 +574,7 @@ mod tests {
             0,
             &HloOptions::default(),
             &mut db,
+            &mut names,
             &mut None,
             &mut cache,
             &mut sums,
@@ -664,6 +667,7 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 1000, &[1.0]);
         let mut db = CloneDb::default();
+        let mut names = FuncNames::of(&p);
         let mut cache = CallGraphCache::new();
         let mut sums = SummaryCache::new();
         let opts = HloOptions::default();
@@ -674,6 +678,7 @@ mod tests {
             0,
             &opts,
             &mut db,
+            &mut names,
             &mut ops,
             &mut cache,
             &mut sums,
@@ -687,6 +692,7 @@ mod tests {
             1,
             &opts,
             &mut db,
+            &mut names,
             &mut None,
             &mut cache,
             &mut sums,
@@ -717,6 +723,7 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 0, &[1.0]);
         let mut db = CloneDb::default();
+        let mut names = FuncNames::of(&p);
         let mut cache = CallGraphCache::new();
         let mut sums = SummaryCache::new();
         let r = clone_pass(
@@ -725,6 +732,7 @@ mod tests {
             0,
             &HloOptions::default(),
             &mut db,
+            &mut names,
             &mut None,
             &mut cache,
             &mut sums,
@@ -783,6 +791,7 @@ mod tests {
         let c0 = p.compile_cost();
         let mut budget = Budget::new(c0, 1000, &[1.0]);
         let mut db = CloneDb::default();
+        let mut names = FuncNames::of(&p);
         let mut ops = Some(2u64);
         let mut cache = CallGraphCache::new();
         let mut sums = SummaryCache::new();
@@ -792,6 +801,7 @@ mod tests {
             0,
             &HloOptions::default(),
             &mut db,
+            &mut names,
             &mut ops,
             &mut cache,
             &mut sums,

@@ -46,7 +46,7 @@ pub fn delete_unreachable(p: &mut Program, scope: Scope, cache: &mut CallGraphCa
 /// Replaces `f`'s body with the deleted form: a lone `ret`, no registers
 /// beyond the parameters, no frame slots and no profile. Name, module,
 /// signature and flags stay, so the function keeps its id and identity.
-pub(crate) fn empty_body(f: &mut Function) {
+fn empty_body(f: &mut Function) {
     f.blocks = vec![Block {
         insts: vec![Inst::Ret { value: None }],
     }];

@@ -15,8 +15,8 @@
 //!   function contiguously), improving I-cache behaviour.
 
 use hlo_ir::{
-    Block, BlockId, Callee, FuncId, FuncProfile, Function, Inst, Linkage, Operand, Program, Reg,
-    Type,
+    Block, BlockId, Callee, FuncId, FuncNames, FuncProfile, Function, Inst, Linkage, Operand,
+    Program, Reg, Type,
 };
 use hlo_trace::{DecisionEvent, DecisionKind, Tracer, Verdict};
 
@@ -45,14 +45,18 @@ impl Default for OutlineOptions {
 /// Runs outlining over every function of `p`. Returns the number of
 /// regions extracted.
 pub fn outline_cold_regions(p: &mut Program, opts: &OutlineOptions) -> u64 {
-    outline_cold_regions_traced(p, opts, &mut Tracer::disabled())
+    let mut names = FuncNames::of(p);
+    outline_cold_regions_traced(p, &mut names, opts, &mut Tracer::disabled())
 }
 
 /// [`outline_cold_regions`] with decision provenance: every extracted
 /// region emits an [`DecisionKind::Outline`] event whose site is the
-/// region's head block and whose callee is the new cold routine.
+/// region's head block and whose callee is the new cold routine. The cold
+/// routines' names are minted from `names`, which holds every function
+/// name of the program.
 pub fn outline_cold_regions_traced(
     p: &mut Program,
+    names: &mut FuncNames,
     opts: &OutlineOptions,
     tracer: &mut Tracer,
 ) -> u64 {
@@ -64,12 +68,18 @@ pub fn outline_cold_regions_traced(
         if !p.module(p.func(id).module).funcs.contains(&id) {
             continue;
         }
-        outlined += outline_one(p, id, opts, tracer);
+        outlined += outline_one(p, names, id, opts, tracer);
     }
     outlined
 }
 
-fn outline_one(p: &mut Program, id: FuncId, opts: &OutlineOptions, tracer: &mut Tracer) -> u64 {
+fn outline_one(
+    p: &mut Program,
+    names: &mut FuncNames,
+    id: FuncId,
+    opts: &OutlineOptions,
+    tracer: &mut Tracer,
+) -> u64 {
     let mut count = 0;
     // Re-examine after each extraction (block ids stay valid: we only
     // rewrite the head block in place and append nothing to the old CFG).
@@ -97,7 +107,7 @@ fn outline_one(p: &mut Program, id: FuncId, opts: &OutlineOptions, tracer: &mut 
                     .unwrap_or(0.0),
             }
         });
-        let out_id = extract(p, id, &region);
+        let out_id = extract(p, names, id, &region);
         if let Some(mut e) = event {
             e.callee = p.func(out_id).name.clone();
             tracer.decision(e);
@@ -217,9 +227,9 @@ fn region_live_in(f: &Function, blocks: &[BlockId]) -> Vec<Reg> {
     live
 }
 
-fn extract(p: &mut Program, id: FuncId, region: &Region) -> FuncId {
+fn extract(p: &mut Program, names: &mut FuncNames, id: FuncId, region: &Region) -> FuncId {
     let f = p.func(id).clone();
-    let name = p.fresh_func_name(&format!("{}.cold", f.name));
+    let name = names.fresh(&format!("{}.cold", f.name));
 
     // Build the outlined function: params = live-ins, body = region
     // blocks with registers remapped and block ids renumbered.

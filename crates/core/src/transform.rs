@@ -3,8 +3,8 @@
 use crate::cloner::CloneSpec;
 use hlo_analysis::CallSiteRef;
 use hlo_ir::{
-    Block, BlockId, Callee, ConstVal, FuncId, FuncProfile, Inst, Linkage, Operand, Program, Reg,
-    SlotId,
+    Block, BlockId, Callee, ConstVal, FuncId, FuncNames, FuncProfile, Inst, Linkage, Operand,
+    Program, Reg, SlotId,
 };
 
 /// Description of one performed inline, used by the pass to fix the
@@ -192,7 +192,10 @@ pub fn inline_call(p: &mut Program, site: &CallSiteRef) -> InlineSplice {
 /// fresh `<name>.clone[.N]` name. Module-static symbols referenced by the
 /// bound constants from *other* modules are promoted to public scope with
 /// unique names, exactly as the paper describes for cross-module cloning.
-pub fn make_clone(p: &mut Program, spec: &CloneSpec) -> FuncId {
+/// Function names are minted from `names`, which holds every function
+/// name of the whole program (`p` may be a partition's sub-program) and
+/// records the clone's name and any promoted function's new one.
+pub fn make_clone(p: &mut Program, names: &mut FuncNames, spec: &CloneSpec) -> FuncId {
     let orig = p.func(spec.callee).clone();
     let params = orig.params;
     debug_assert!(spec.bindings.windows(2).all(|w| w[0].0 < w[1].0));
@@ -221,7 +224,7 @@ pub fn make_clone(p: &mut Program, spec: &CloneSpec) -> FuncId {
         );
     }
     clone.params = unbound.len() as u32;
-    clone.name = p.fresh_func_name(&format!("{}.clone", orig.name));
+    clone.name = names.fresh(&format!("{}.clone", orig.name));
     clone.linkage = Linkage::Static;
     // The inserted constants belong to the entry block; keep the profile
     // annotation shape intact (the pass rescales values afterwards).
@@ -237,7 +240,8 @@ pub fn make_clone(p: &mut Program, spec: &CloneSpec) -> FuncId {
             ConstVal::FuncAddr(f) => {
                 let fun = p.func(*f);
                 if fun.linkage == Linkage::Static && fun.module != clone_module {
-                    let fresh = p.fresh_func_name(&format!("{}.promoted", fun.name));
+                    let fresh = names.fresh(&format!("{}.promoted", fun.name));
+                    names.remove(&fun.name);
                     let fun = p.func_mut(*f);
                     fun.linkage = Linkage::Public;
                     fun.name = fresh;
@@ -471,7 +475,8 @@ mod tests {
             callee,
             bindings: vec![(0, ConstVal::int(3))],
         };
-        let clone = make_clone(&mut p, &spec);
+        let mut names = FuncNames::of(&p);
+        let clone = make_clone(&mut p, &mut names, &spec);
         assert_eq!(p.func(clone).params, 1);
         assert_eq!(p.func(clone).linkage, Linkage::Static);
         assert!(p.func(clone).name.contains("clone"));
@@ -513,7 +518,8 @@ mod tests {
             callee: apply,
             bindings: vec![(0, ConstVal::FuncAddr(secret))],
         };
-        let clone = make_clone(&mut p, &spec);
+        let mut names = FuncNames::of(&p);
+        let clone = make_clone(&mut p, &mut names, &spec);
         // The clone lives in apply's module (b) and references `secret`
         // which was static to module a: it must have been promoted.
         assert_eq!(p.func(clone).module, p.func(apply).module);
@@ -543,7 +549,8 @@ mod tests {
             callee,
             bindings: vec![(0, ConstVal::int(1)), (2, ConstVal::int(3))],
         };
-        let clone = make_clone(&mut p, &spec);
+        let mut names = FuncNames::of(&p);
+        let clone = make_clone(&mut p, &mut names, &spec);
         assert_eq!(p.func(clone).params, 1);
         let s = first_site(&p, "main", "f");
         redirect_site_to_clone(&mut p, &s, &spec, clone);

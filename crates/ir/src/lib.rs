@@ -58,7 +58,7 @@ pub use hash::{fnv1a_64, hash_function, Fnv64};
 pub use inst::{BinOp, Callee, Inst, Operand, UnOp};
 pub use layout::{CodeLayout, FuncLayout, INST_BYTES};
 pub use module::{Extern, Global, Module};
-pub use program::Program;
+pub use program::{FuncNames, Program};
 pub use text::{
     function_to_text, parse_inst, parse_program_text, program_to_text, IrParseError, ProgramText,
 };

@@ -1,6 +1,7 @@
 //! Whole programs.
 
 use crate::{Extern, ExternId, FuncId, Function, Global, GlobalId, Module, ModuleId};
+use std::collections::HashMap;
 
 /// A whole program: the unit HLO optimizes on the link-time ("isom") path.
 ///
@@ -124,22 +125,59 @@ impl Program {
         self.modules[m.index()].funcs.push(id);
         id
     }
+}
 
-    /// Produces a fresh function name not colliding with any existing
-    /// function: `base`, then `base.1`, `base.2`, ...
-    pub fn fresh_func_name(&self, base: &str) -> String {
-        let taken: std::collections::HashSet<&str> =
-            self.funcs.iter().map(|f| f.name.as_str()).collect();
-        if !taken.contains(base) {
-            return base.to_string();
+/// Every function name a program holds, with multiplicity (two modules
+/// may each hold a static of one name): the pool fresh names are minted
+/// from. The optimizer keeps one for the whole program while it builds
+/// partitions on sub-programs that hold only their own members, so names
+/// minted in one partition see every name of the program, clones of
+/// earlier partitions included.
+#[derive(Debug, Default)]
+pub struct FuncNames {
+    counts: HashMap<String, u32>,
+}
+
+impl FuncNames {
+    /// The names of every function of `p`, deleted ones included.
+    pub fn of(p: &Program) -> Self {
+        let mut names = FuncNames::default();
+        for f in &p.funcs {
+            names.insert(&f.name);
         }
-        for i in 1.. {
-            let cand = format!("{base}.{i}");
-            if !taken.contains(cand.as_str()) {
-                return cand;
+        names
+    }
+
+    /// Records one more function holding `name`.
+    pub fn insert(&mut self, name: &str) {
+        *self.counts.entry(name.to_string()).or_insert(0) += 1;
+    }
+
+    /// Records that one function holding `name` gave it up (it was
+    /// renamed).
+    pub fn remove(&mut self, name: &str) {
+        if let Some(n) = self.counts.get_mut(name) {
+            *n -= 1;
+            if *n == 0 {
+                self.counts.remove(name);
             }
         }
-        unreachable!()
+    }
+
+    /// Mints a name no function holds yet — `base`, then `base.1`,
+    /// `base.2`, ... — and records it as held.
+    pub fn fresh(&mut self, base: &str) -> String {
+        let taken = |name: &str| self.counts.contains_key(name);
+        let name = if taken(base) {
+            (1..)
+                .map(|i| format!("{base}.{i}"))
+                .find(|cand| !taken(cand))
+                .expect("some suffix is free")
+        } else {
+            base.to_string()
+        };
+        self.insert(&name);
+        name
     }
 }
 
@@ -188,8 +226,28 @@ mod tests {
 
     #[test]
     fn fresh_names_avoid_collisions() {
-        let p = two_module_program();
-        assert_eq!(p.fresh_func_name("h"), "h");
-        assert_eq!(p.fresh_func_name("f"), "f.1");
+        let mut p = two_module_program();
+        p.funcs[1].name = "f.1".into();
+        let mut names = FuncNames::of(&p);
+        assert_eq!(names.fresh("h"), "h");
+        assert_eq!(names.fresh("h"), "h.1");
+        assert_eq!(names.fresh("f"), "f.2");
+        assert_eq!(names.fresh("f"), "f.3");
+    }
+
+    #[test]
+    fn names_count_every_holder() {
+        // Two statics share `leaf`: renaming one leaves the other's name
+        // taken.
+        let mut p = two_module_program();
+        p.funcs[0].name = "leaf".into();
+        p.funcs[1].name = "leaf".into();
+        let mut names = FuncNames::of(&p);
+        let promoted = names.fresh("leaf.promoted");
+        names.remove("leaf");
+        assert_eq!(promoted, "leaf.promoted");
+        assert_eq!(names.fresh("leaf"), "leaf.1");
+        names.remove("leaf");
+        assert_eq!(names.fresh("leaf"), "leaf");
     }
 }
