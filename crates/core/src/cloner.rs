@@ -59,6 +59,8 @@ pub struct ClonePassResult {
     pub opt_runs: u64,
     /// The rounds those runs took.
     pub opt_rounds: u64,
+    /// The liveness solves those runs made.
+    pub liveness_solves: u64,
 }
 
 /// Parameter-usage weights: how much a routine would benefit from knowing
@@ -483,6 +485,7 @@ pub fn clone_pass(
                 let stats = hlo_opt::optimize_function(p.func_mut(clone_id));
                 result.opt_runs += 1;
                 result.opt_rounds += stats.rounds;
+                result.liveness_solves += stats.liveness_solves;
                 if stats.converged {
                     cache.settle(clone_id);
                 }

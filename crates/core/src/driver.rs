@@ -614,6 +614,7 @@ impl Build<'_> {
                 pr.clone_replacements += r.sites_replaced;
                 self.report.opt_runs += r.opt_runs;
                 self.report.opt_rounds += r.opt_rounds;
+                self.report.liveness_solves += r.liveness_solves;
                 tracer.leaf_seq("clone.plan", r.plan_wall);
                 tracer.leaf_seq("clone.apply", r.apply_wall);
                 self.ck.check(q, &format!("clone@{pass}"));
@@ -633,6 +634,7 @@ impl Build<'_> {
                 self.report.inline_evals += r.evals;
                 self.report.opt_runs += r.opt_runs;
                 self.report.opt_rounds += r.opt_rounds;
+                self.report.liveness_solves += r.liveness_solves;
                 tracer.leaf_seq("inline.plan", r.plan_wall);
                 tracer.leaf_seq("inline.apply", r.apply_wall);
                 self.ck.check(q, &format!("inline@{pass}"));
@@ -962,6 +964,7 @@ fn cleanup_round(
         let stats = hlo_opt::optimize_function_checked(p.func_mut(id), ck);
         report.opt_runs += 1;
         report.opt_rounds += stats.rounds;
+        report.liveness_solves += stats.liveness_solves;
         if stats.changed {
             cache.invalidate(id);
         }

@@ -50,6 +50,8 @@ pub struct InlinePassResult {
     pub opt_runs: u64,
     /// The rounds those runs took.
     pub opt_rounds: u64,
+    /// The liveness solves those runs made.
+    pub liveness_solves: u64,
 }
 
 /// Penalty multiplier for sites colder than their caller's entry (the
@@ -308,6 +310,7 @@ pub fn inline_pass(
         let stats = hlo_opt::optimize_function(p.func_mut(f));
         result.opt_runs += 1;
         result.opt_rounds += stats.rounds;
+        result.liveness_solves += stats.liveness_solves;
         cache.invalidate(f);
         if stats.converged {
             cache.settle(f);

@@ -98,6 +98,10 @@ pub struct HloReport {
     /// The rounds those runs took, each run's confirming last round
     /// included.
     pub opt_rounds: u64,
+    /// The register-liveness solves those runs made: constant
+    /// propagation's and DCE's, DCE's re-solves after a sweep that removed
+    /// something included.
+    pub liveness_solves: u64,
     /// Trial inserts the inline planner costed against its schedule, over
     /// every partition and pass.
     pub inline_evals: u64,
@@ -173,6 +177,7 @@ impl HloReport {
         n("summary_solves", self.summary_solves);
         n("opt_runs", self.opt_runs);
         n("opt_rounds", self.opt_rounds);
+        n("liveness_solves", self.liveness_solves);
         n("inline_evals", self.inline_evals);
         n("graph_scans", self.graph_scans);
         n("graph_assemblies", self.graph_assemblies);
@@ -242,6 +247,7 @@ impl HloReport {
                 "summary_solves" => r.summary_solves = num(val)?,
                 "opt_runs" => r.opt_runs = num(val)?,
                 "opt_rounds" => r.opt_rounds = num(val)?,
+                "liveness_solves" => r.liveness_solves = num(val)?,
                 "inline_evals" => r.inline_evals = num(val)?,
                 "graph_scans" => r.graph_scans = num(val)?,
                 "graph_assemblies" => r.graph_assemblies = num(val)?,
@@ -351,6 +357,7 @@ mod tests {
             summary_solves: 31,
             opt_runs: 17,
             opt_rounds: 36,
+            liveness_solves: 88,
             inline_evals: 23,
             graph_scans: 52,
             graph_assemblies: 11,

@@ -86,6 +86,7 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
+        any::<u64>(),
     );
     let lists = (
         prop::collection::vec(pass_strategy(), 0..6),
@@ -101,6 +102,7 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
             summary_solves,
             opt_runs,
             opt_rounds,
+            liveness_solves,
             inline_evals,
             graph_scans,
             graph_assemblies,
@@ -127,6 +129,7 @@ fn report_strategy() -> impl Strategy<Value = HloReport> {
             summary_solves,
             opt_runs,
             opt_rounds,
+            liveness_solves,
             inline_evals,
             graph_scans,
             graph_assemblies,

@@ -6,10 +6,12 @@
 //!
 //! Every function of the 14 suite programs is covered, both as compiled
 //! and after a default `hlo::optimize`, plus a fixed-seed batch of
-//! fuzz-generated programs from both of `hlo-fuzz`'s generators.
+//! fuzz-generated programs from both of `hlo-fuzz`'s generators. The same
+//! corpus checks `optimize_function` against a reference loop over the
+//! standalone sub-pass entry points.
 
 use aggressive_inlining::{frontc, fuzz, hlo, ir, opt, suite};
-use ir::Program;
+use ir::{Function, Program};
 
 /// Counts of functions checked and of the ones that converged.
 #[derive(Default)]
@@ -79,4 +81,78 @@ fn converged_functions_stay_put_over_suite_and_fuzz_programs() {
         tally.converged,
         tally.funcs
     );
+}
+
+/// Calls `visit` on every program of the corpus above: each suite program
+/// and each fuzz-generated one, as compiled and after a default
+/// `hlo::optimize`.
+fn visit_corpus(mut visit: impl FnMut(&str, &Program)) {
+    let mut both = |label: &str, mut p: Program| {
+        visit(&format!("{label} (compiled)"), &p);
+        hlo::optimize(&mut p, None, &hlo::HloOptions::default());
+        visit(&format!("{label} (optimized)"), &p);
+    };
+    for b in suite::all_benchmarks() {
+        both(b.name, b.compile().expect("suite program compiles"));
+    }
+    for seed in 0..16u64 {
+        let sources = fuzz::generate_sources(seed, &fuzz::GenConfig::default());
+        let refs: Vec<(&str, &str)> = sources
+            .iter()
+            .map(|(n, s)| (n.as_str(), s.as_str()))
+            .collect();
+        let p = frontc::compile(&refs).expect("generated program compiles");
+        both(&format!("fuzz-{seed}"), p);
+        both(
+            &format!("irgen-{seed}"),
+            fuzz::generate_program(seed, &fuzz::IrGenConfig::default()),
+        );
+    }
+}
+
+/// One scalar-optimizer run spelled out through the standalone sub-pass
+/// entry points, in pipeline order, until a round changes nothing (at
+/// most 8 rounds). Returns the rounds run, whether anything changed and
+/// whether the last round changed nothing.
+fn reference_run(f: &mut Function) -> (u64, bool, bool) {
+    let mut changed = false;
+    for round in 1..=8 {
+        let cp = opt::constprop::propagate(f);
+        let alg = opt::algebraic::simplify_algebra(f);
+        let cfg = opt::simplify_cfg::simplify(f);
+        let fwd = opt::memfwd::forward_stores(f);
+        let copies = opt::copyprop::propagate_copies(f);
+        let cse = opt::cse::eliminate_common(f);
+        let dce = opt::dce::eliminate_dead(f);
+        let slots = opt::dead_slots::eliminate_dead_slots(f);
+        let round_changed =
+            cp.changed() || cfg.changed() || alg + fwd + copies + cse + dce + slots > 0;
+        changed |= round_changed;
+        if !round_changed {
+            return (round, changed, true);
+        }
+    }
+    (8, changed, false)
+}
+
+#[test]
+fn optimize_function_equals_the_standalone_sub_passes_in_order() {
+    let mut funcs = 0;
+    visit_corpus(|label, p| {
+        for f in &p.funcs {
+            funcs += 1;
+            let mut got = f.clone();
+            let stats = opt::optimize_function(&mut got);
+            let mut want = f.clone();
+            let (rounds, changed, converged) = reference_run(&mut want);
+            let where_ = format!("{label}: `{}`", f.name);
+            assert_eq!(got, want, "{where_}: the bodies differ");
+            assert_eq!(
+                (stats.rounds, stats.changed, stats.converged),
+                (rounds, changed, converged),
+                "{where_}: (rounds, changed, converged) differ"
+            );
+        }
+    });
+    assert!(funcs > 500, "only {funcs} functions compared");
 }
