@@ -20,10 +20,11 @@
 //! * [`Cfg`] / [`Liveness`] / [`BitSet`] — the block-level dataflow that
 //!   `hlo-opt` and `hlo-lint` share: one function's successor and
 //!   predecessor lists built once, block reachability, and backward
-//!   register liveness on word-packed bitsets. Constant propagation
-//!   meets only live registers, DCE and pure-call removal delete by the
-//!   live-out sets, and the lint's dead-store and uninitialized-register
-//!   checks run on the same graph and bitsets.
+//!   register liveness in flat block-major word arrays, read through
+//!   [`BitsView`]s. Constant propagation meets only live registers, DCE
+//!   and pure-call removal delete by the live-out sets, and the lint's
+//!   dead-store and uninitialized-register checks run on the same graph
+//!   and bitsets.
 
 mod callgraph;
 mod cgcache;
@@ -41,7 +42,7 @@ pub use callgraph::{
 };
 pub use cgcache::CallGraphCache;
 pub use classify::{classify_sites, SiteClass, SiteCounts};
-pub use dataflow::{BitSet, Cfg, Liveness};
+pub use dataflow::{BitSet, BitsView, Cfg, Liveness};
 pub use dominators::Dominators;
 pub use freq::estimate_static_profile;
 pub use loops::LoopInfo;

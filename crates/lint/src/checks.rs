@@ -296,11 +296,12 @@ fn check_dead_stores(f: &Function, facts: &FuncFacts, out: &mut Vec<Diagnostic>)
         return;
     }
     let liveness = facts.cfg.liveness(f);
+    let mut live = BitSet::default();
     for b in 0..f.blocks.len() {
         if !facts.reachable[b] {
             continue;
         }
-        let mut live = liveness.live_out(b).clone();
+        live.copy_from(liveness.live_out(b));
         // The backward walk discovers dead stores last-first; buffer and
         // flip so diagnostics come out in source order.
         let mut found = Vec::new();

@@ -7,6 +7,7 @@
 //! indirect call and [`propagate`] rewrites it into a direct call — the
 //! enabling step of the paper's staged indirect-call promotion.
 
+use crate::pipeline::Solved;
 use hlo_analysis::Cfg;
 use hlo_ir::{BinOp, Callee, ConstVal, Function, Inst, Operand, UnOp};
 
@@ -56,35 +57,68 @@ impl ConstPropStats {
 /// registers live into each successor: the fixpoint is the full one
 /// restricted to live registers, and the rewrite cannot tell them apart.
 pub fn propagate(f: &mut Function) -> ConstPropStats {
-    let nregs = f.num_regs as usize;
-    let nblocks = f.blocks.len();
-    if nblocks == 0 {
+    if f.blocks.is_empty() {
         return ConstPropStats::default();
     }
-    let cfg = Cfg::new(f);
-    let live = cfg.liveness(f);
+    let solved = Solved::of(f);
+    propagate_solved(f, &solved, &mut Scratch::default())
+}
+
+/// The buffers a run's propagations clear and reuse: the in-states, the
+/// walk's state, its worklist and its flags.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    ins: Vec<Lat>,
+    state: Vec<Lat>,
+    on_list: Vec<bool>,
+    visited: Vec<bool>,
+    work: Vec<usize>,
+}
+
+/// [`propagate`] on `solved`, the graph and liveness of `f` as it stands,
+/// in `scratch`'s buffers. `f` has at least one block.
+pub(crate) fn propagate_solved(
+    f: &mut Function,
+    solved: &Solved,
+    scratch: &mut Scratch,
+) -> ConstPropStats {
+    let nregs = f.num_regs as usize;
+    let nblocks = f.blocks.len();
+    let (cfg, live) = (&solved.cfg, &solved.live);
+    let Scratch {
+        ins,
+        state,
+        on_list,
+        visited,
+        work,
+    } = scratch;
 
     // In-states, block-major: block `b`'s are `ins[b * nregs..][..nregs]`.
     // Entry: params unknown (Bottom), others Top.
-    let mut ins = vec![Lat::Top; nblocks * nregs];
+    ins.clear();
+    ins.resize(nblocks * nregs, Lat::Top);
     for l in ins[..nregs].iter_mut().take(f.params as usize) {
         *l = Lat::Bottom;
     }
 
     // Worklist fixpoint.
-    let mut on_list = vec![false; nblocks];
-    let mut work: Vec<usize> = vec![0];
+    on_list.clear();
+    on_list.resize(nblocks, false);
+    work.clear();
+    work.push(0);
     on_list[0] = true;
     // Entry is always "visited"; others only after a predecessor flows in.
-    let mut visited = vec![false; nblocks];
+    visited.clear();
+    visited.resize(nblocks, false);
     visited[0] = true;
-    let mut state = vec![Lat::Top; nregs];
+    state.clear();
+    state.resize(nregs, Lat::Top);
 
     while let Some(b) = work.pop() {
         on_list[b] = false;
         state.copy_from_slice(&ins[b * nregs..(b + 1) * nregs]);
         for inst in &f.blocks[b].insts {
-            transfer(inst, &mut state);
+            transfer(inst, state);
         }
         for &si in cfg.succs(b) {
             let into = &mut ins[si * nregs..(si + 1) * nregs];
@@ -92,7 +126,7 @@ pub fn propagate(f: &mut Function) -> ConstPropStats {
             if !visited[si] {
                 // The first arrival copies: a meet with Top.
                 visited[si] = true;
-                into.copy_from_slice(&state);
+                into.copy_from_slice(state);
                 changed = true;
             } else {
                 for r in live.live_in(si).iter() {
@@ -109,15 +143,20 @@ pub fn propagate(f: &mut Function) -> ConstPropStats {
             }
         }
     }
-    rewrite(f, &ins, &visited)
+    rewrite(f, ins, visited, state)
 }
 
 /// Folds `f` by the solved block-entry states (`ins`, block-major) of the
 /// blocks the solve reached, then repairs the profile if a branch folded.
-pub(crate) fn rewrite(f: &mut Function, ins: &[Lat], visited: &[bool]) -> ConstPropStats {
+/// `state` is a buffer of `f.num_regs` lattice values.
+pub(crate) fn rewrite(
+    f: &mut Function,
+    ins: &[Lat],
+    visited: &[bool],
+    state: &mut [Lat],
+) -> ConstPropStats {
     let nregs = f.num_regs as usize;
     let mut stats = ConstPropStats::default();
-    let mut state = vec![Lat::Top; nregs];
     for (b, block) in f.blocks.iter_mut().enumerate() {
         if !visited[b] {
             continue; // unreachable; simplify_cfg removes it
@@ -188,7 +227,7 @@ pub(crate) fn rewrite(f: &mut Function, ins: &[Lat], visited: &[bool]) -> ConstP
                 }
                 _ => {}
             }
-            transfer(inst, &mut state);
+            transfer(inst, state);
         }
     }
     if stats.branches_folded > 0 {

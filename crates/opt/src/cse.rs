@@ -1,9 +1,8 @@
 //! Local common-subexpression elimination.
 
 use hlo_ir::{BinOp, Function, Inst, Operand, Reg, UnOp};
-use std::collections::HashMap;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExprKey {
     Bin(BinOp, Operand, Operand),
     Un(UnOp, Operand),
@@ -14,10 +13,17 @@ enum ExprKey {
 /// Replaces recomputed expressions within a block by copies of the first
 /// computation. Loads participate but are invalidated by any store or
 /// call. Returns the number of instructions replaced.
+///
+/// The expressions available in a block sit in one short table, searched
+/// in order and cleared for each block. A lookup costs no more than the
+/// scan every definition already makes to drop what it invalidates, and
+/// the table holds each expression at most once: a definition first
+/// drops the entries its register held.
 pub fn eliminate_common(f: &mut Function) -> u64 {
     let mut replaced = 0;
+    let mut avail: Vec<(ExprKey, Reg)> = Vec::new();
     for block in &mut f.blocks {
-        let mut avail: HashMap<ExprKey, Reg> = HashMap::new();
+        avail.clear();
         for inst in &mut block.insts {
             let key = match inst {
                 Inst::Bin { op, a, b, .. } if !op.can_trap() => {
@@ -40,12 +46,12 @@ pub fn eliminate_common(f: &mut Function) -> u64 {
                 inst,
                 Inst::Store { .. } | Inst::Call { .. } | Inst::Alloca { .. }
             ) {
-                avail.retain(|k, _| !matches!(k, ExprKey::Load(..)));
+                avail.retain(|(k, _)| !matches!(k, ExprKey::Load(..)));
             }
 
             // Replace a recomputation with a copy of the earlier result.
             if let (Some(k), Some(d)) = (key, inst.dst()) {
-                if let Some(&prev) = avail.get(&k) {
+                if let Some(&(_, prev)) = avail.iter().find(|(ak, _)| *ak == k) {
                     if prev != d {
                         *inst = Inst::Copy {
                             dst: d,
@@ -65,13 +71,13 @@ pub fn eliminate_common(f: &mut Function) -> u64 {
                     ExprKey::Load(a, b) => a.as_reg() == Some(d) || b.as_reg() == Some(d),
                     ExprKey::FrameAddr(_) => false,
                 };
-                avail.retain(|k, v| *v != d && !mentions_d(k));
+                avail.retain(|(k, v)| *v != d && !mentions_d(k));
                 // ...and only then does the new expression become
                 // available (unless it reads its own destination, in which
                 // case the key would describe the pre-def value).
                 if let Some(k) = key {
                     if !mentions_d(&k) && !matches!(inst, Inst::Copy { .. }) {
-                        avail.insert(k, d);
+                        avail.push((k, d));
                     }
                 }
             }

@@ -41,7 +41,9 @@
 //! reachability, register liveness on word-packed bitsets) is
 //! `hlo_analysis::Cfg`, shared with `hlo-lint`: constprop, DCE,
 //! pure-call removal, CFG simplification and constprop's profile repair
-//! all read it.
+//! all read it. A [`pipeline`] run solves liveness once per state of the
+//! function and carries it from constprop to DCE and from DCE to the next
+//! round.
 
 pub mod algebraic;
 pub mod constprop;
@@ -61,3 +63,17 @@ pub mod xcall;
 pub use pipeline::{optimize_function, optimize_function_checked, optimize_program, OptStats};
 pub use pure_calls::{eliminate_calls_where, eliminate_pure_calls, PureCallRemoval, PureCallSite};
 pub use xcall::{fold_const_returns, forward_across_calls, ConstRetFold, CrossCallStats};
+
+/// Removes the instructions at `doomed`, indexes in increasing order.
+pub(crate) fn remove_insts(insts: &mut Vec<hlo_ir::Inst>, doomed: impl IntoIterator<Item = usize>) {
+    let mut doomed = doomed.into_iter().peekable();
+    if doomed.peek().is_none() {
+        return;
+    }
+    let mut i = 0;
+    insts.retain(|_| {
+        let keep = doomed.next_if_eq(&i).is_none();
+        i += 1;
+        keep
+    });
+}

@@ -36,8 +36,9 @@ pub(crate) enum BaseKey {
     Reg(Reg),
 }
 
+/// A store whose value a later load of the same address may read.
 #[derive(Debug, Clone, Copy)]
-struct Known {
+pub(crate) struct Known {
     base: BaseKey,
     offset: i64,
     value: Operand,
@@ -100,23 +101,25 @@ pub(crate) fn may_alias(a: BaseKey, b: BaseKey) -> bool {
 /// call. Returns loads replaced.
 pub fn forward_stores(f: &mut Function) -> u64 {
     let regs = addr_regs(f);
+    let mut known = Vec::new();
     f.blocks
         .iter_mut()
-        .map(|b| forward_block(b, &regs, None))
+        .map(|b| forward_block(b, &regs, None, &mut known))
         .sum()
 }
 
 /// Forwards stores to later loads of the same address within `block`.
 /// Without `summaries` every call clears what is known; with them a
-/// direct call kills only what its callee may write. Returns loads
-/// replaced.
+/// direct call kills only what its callee may write. `known` is a buffer
+/// the walk clears first. Returns loads replaced.
 pub(crate) fn forward_block(
     block: &mut Block,
     regs: &[Option<BaseKey>],
     summaries: Option<&Summaries>,
+    known: &mut Vec<Known>,
 ) -> u64 {
     let mut replaced = 0;
-    let mut known: Vec<Known> = Vec::new();
+    known.clear();
     for inst in &mut block.insts {
         match inst {
             Inst::Store {
@@ -159,7 +162,7 @@ pub(crate) fn forward_block(
             }
             Inst::Call { callee, args, .. } => {
                 let screened = match (callee, summaries) {
-                    (Callee::Func(t), Some(s)) => apply_call_kills(&mut known, *t, args, regs, s),
+                    (Callee::Func(t), Some(s)) => apply_call_kills(known, *t, args, regs, s),
                     _ => false,
                 };
                 if !screened {

@@ -4,7 +4,8 @@
 //! library that provably does nothing are eliminated by interprocedural
 //! analysis *before* inlining, so they never consume inline budget.
 
-use hlo_analysis::{CallGraph, Cfg};
+use crate::remove_insts;
+use hlo_analysis::{BitSet, CallGraph, Cfg};
 use hlo_ipa::Summaries;
 use hlo_ir::{Callee, FuncId, Inst, Operand, Program};
 
@@ -54,6 +55,7 @@ pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRem
     let mut removed = 0;
     let mut changed = Vec::new();
     let mut sites = Vec::new();
+    let mut live = BitSet::default();
     for (fi, f) in p.funcs.iter_mut().enumerate() {
         // A function with no direct call to a deletable callee cannot
         // change, so it needs no liveness.
@@ -67,9 +69,8 @@ pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRem
         let mut func_changed = false;
         for (bi, block) in f.blocks.iter_mut().enumerate() {
             // Backward scan to know liveness of each call's destination.
-            let mut live = liveness.live_out(bi).clone();
-            let mut keep = vec![true; block.insts.len()];
-            let mut block_sites: Vec<PureCallSite> = Vec::new();
+            live.copy_from(liveness.live_out(bi));
+            let first = sites.len();
             for (ii, inst) in block.insts.iter().enumerate().rev() {
                 let removable = match inst {
                     Inst::Call {
@@ -84,10 +85,9 @@ pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRem
                     _ => None,
                 };
                 if let Some(callee) = removable {
-                    keep[ii] = false;
                     removed += 1;
                     func_changed = true;
-                    block_sites.push(PureCallSite {
+                    sites.push(PureCallSite {
                         caller: FuncId(fi as u32),
                         block: bi,
                         inst: ii,
@@ -104,12 +104,11 @@ pub fn eliminate_calls_where(p: &mut Program, deletable: &[bool]) -> PureCallRem
                     }
                 });
             }
-            let mut it = keep.iter();
-            block.insts.retain(|_| *it.next().expect("len"));
             // The backward scan found sites last-first; report them in
             // instruction order.
+            let block_sites = &mut sites[first..];
             block_sites.reverse();
-            sites.extend(block_sites);
+            remove_insts(&mut block.insts, block_sites.iter().map(|s| s.inst));
         }
         if func_changed {
             changed.push(FuncId(fi as u32));

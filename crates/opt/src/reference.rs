@@ -78,7 +78,7 @@ pub(crate) fn eliminate_dead(f: &mut Function) -> u64 {
                 s
             })
             .collect();
-        let removed = dce::sweep(f, |b| &sets[b]);
+        let removed = dce::sweep(f, |b| sets[b].view(), &mut dce::Scratch::default());
         total += removed;
         if removed == 0 {
             return total;
@@ -137,7 +137,7 @@ pub(crate) fn propagate(f: &mut Function) -> ConstPropStats {
             }
         }
     }
-    constprop::rewrite(f, &ins.concat(), &visited)
+    constprop::rewrite(f, &ins.concat(), &visited, &mut vec![Lat::Top; nregs])
 }
 
 #[cfg(test)]

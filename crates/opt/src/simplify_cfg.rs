@@ -169,8 +169,13 @@ fn remove_unreachable(f: &mut Function, stats: &mut CfgStats) -> bool {
 }
 
 fn merge_chains(f: &mut Function, stats: &mut CfgStats) -> bool {
-    let preds = f.predecessors();
     let n = f.blocks.len();
+    let mut npreds = vec![0u32; n];
+    for b in &f.blocks {
+        for s in b.iter_successors() {
+            npreds[s.index()] += 1;
+        }
+    }
     let mut merged_away = vec![false; n];
     let mut changed = false;
     for b in 0..n {
@@ -180,10 +185,10 @@ fn merge_chains(f: &mut Function, stats: &mut CfgStats) -> bool {
         // Follow the chain greedily from b.
         while let Some(Inst::Jump { target }) = f.blocks[b].insts.last() {
             let t = target.index();
-            if t == b || t == 0 || merged_away[t] || preds[t].len() != 1 {
+            if t == b || t == 0 || merged_away[t] || npreds[t] != 1 {
                 break;
             }
-            // preds computed before any merges this sweep; a block merged
+            // npreds counted before any merges this sweep; a block merged
             // into b keeps its original single-pred property because we
             // never duplicate edges.
             let mut tail = std::mem::take(&mut f.blocks[t].insts);

@@ -23,8 +23,9 @@
 //! classes; this module keeps no address model of its own.
 
 use crate::memfwd::{addr_regs, classify, forward_block, BaseKey};
+use crate::remove_insts;
 use hlo_ipa::Summaries;
-use hlo_ir::{Block, Callee, ConstVal, FuncId, GlobalId, Inst, Program};
+use hlo_ir::{Block, Callee, ConstVal, FuncId, GlobalId, Inst, Program, Reg};
 /// One constant-return fold, in pre-pass coordinates (for decision
 /// provenance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,24 +49,38 @@ pub struct ConstRetFold {
 /// Replaces the results of direct calls to constant-returning functions
 /// with the constant. Removable callees lose the whole call; effectful
 /// ones keep it (result discarded) and the constant materializes after it.
+///
+/// Only a block with such a call is rebuilt. Every other block's vector
+/// is trimmed to its length, as a rebuild leaves it: vectors grow as
+/// inlining splices and chains merge, and peak memory depends on the trim.
 pub fn fold_const_returns(p: &mut Program, summaries: &Summaries) -> Vec<ConstRetFold> {
+    let const_call = |inst: &Inst| -> Option<(Reg, FuncId, i64)> {
+        match inst {
+            Inst::Call {
+                dst: Some(d),
+                callee: Callee::Func(t),
+                ..
+            } => match summaries.funcs[t.index()].ret {
+                hlo_ipa::RetInfo::Const(k) => Some((*d, *t, k)),
+                _ => None,
+            },
+            _ => None,
+        }
+    };
     let mut folds = Vec::new();
     for (fi, f) in p.funcs.iter_mut().enumerate() {
         for (bi, block) in f.blocks.iter_mut().enumerate() {
+            if !block.insts.iter().any(|inst| const_call(inst).is_some()) {
+                if block.insts.capacity() > block.insts.len() {
+                    let mut trimmed = Vec::with_capacity(block.insts.len());
+                    trimmed.append(&mut block.insts);
+                    block.insts = trimmed;
+                }
+                continue;
+            }
             let mut rewritten: Vec<Inst> = Vec::with_capacity(block.insts.len());
             for (ii, inst) in block.insts.drain(..).enumerate() {
-                let fold = match &inst {
-                    Inst::Call {
-                        dst: Some(d),
-                        callee: Callee::Func(t),
-                        ..
-                    } => match summaries.funcs[t.index()].ret {
-                        hlo_ipa::RetInfo::Const(k) => Some((*d, *t, k)),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                let Some((d, t, k)) = fold else {
+                let Some((d, t, k)) = const_call(&inst) else {
                     rewritten.push(inst);
                     continue;
                 };
@@ -117,13 +132,15 @@ pub struct CrossCallStats {
 /// they touch, plus cross-call dead-store elimination for globals.
 pub fn forward_across_calls(p: &mut Program, summaries: &Summaries) -> CrossCallStats {
     let mut stats = CrossCallStats::default();
+    let mut known = Vec::new();
+    let mut overwritten = Vec::new();
     for (fi, f) in p.funcs.iter_mut().enumerate() {
         let regs = addr_regs(f);
         let mut forwards = 0;
         let mut dead = 0;
         for block in &mut f.blocks {
-            forwards += forward_block(block, &regs, Some(summaries));
-            dead += kill_dead_global_stores(block, &regs, summaries);
+            forwards += forward_block(block, &regs, Some(summaries), &mut known);
+            dead += kill_dead_global_stores(block, &regs, summaries, &mut overwritten);
         }
         if forwards + dead > 0 {
             stats.changed.push(FuncId(fi as u32));
@@ -138,15 +155,18 @@ pub fn forward_across_calls(p: &mut Program, summaries: &Summaries) -> CrossCall
 /// any possible observer. Only globals qualify: a callee can reach a
 /// global without being handed it, so only the summaries make this safe,
 /// while frame slots are already handled by [`crate::dead_slots`].
+/// `overwritten` is a buffer the scan clears first.
 fn kill_dead_global_stores(
     block: &mut Block,
     regs: &[Option<BaseKey>],
     summaries: &Summaries,
+    overwritten: &mut Vec<(GlobalId, i64)>,
 ) -> u64 {
     // (global, offset) pairs overwritten later in the block with no
     // intervening possible reader.
-    let mut overwritten: Vec<(GlobalId, i64)> = Vec::new();
-    let mut dead = vec![false; block.insts.len()];
+    overwritten.clear();
+    // The dead stores' indexes, last first.
+    let mut dead = Vec::new();
     for (ii, inst) in block.insts.iter().enumerate().rev() {
         match inst {
             Inst::Store { base, offset, .. } => {
@@ -155,7 +175,7 @@ fn kill_dead_global_stores(
                 let off = offset.as_const().and_then(ConstVal::as_i64);
                 if let (Some(BaseKey::Global(g)), Some(o)) = (classify(base, regs), off) {
                     if overwritten.contains(&(g, o)) {
-                        dead[ii] = true;
+                        dead.push(ii);
                     } else {
                         overwritten.push((g, o));
                     }
@@ -187,12 +207,8 @@ fn kill_dead_global_stores(
             _ => {}
         }
     }
-    let removed = dead.iter().filter(|&&d| d).count() as u64;
-    if removed > 0 {
-        let mut it = dead.iter();
-        block.insts.retain(|_| !*it.next().expect("len"));
-    }
-    removed
+    remove_insts(&mut block.insts, dead.iter().rev().copied());
+    dead.len() as u64
 }
 
 #[cfg(test)]
