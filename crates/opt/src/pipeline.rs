@@ -9,7 +9,7 @@ use hlo_lint::Checker;
 
 /// The block graph and register liveness of a function body. Both are
 /// pure functions of the body, so a run carries them from one sub-pass
-/// to the next until a sub-pass reports a change.
+/// to the next until a sub-pass that can change them reports a change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Solved {
     pub(crate) cfg: Cfg,
@@ -44,10 +44,10 @@ impl Carry {
         })
     }
 
-    /// Records that `pass` ran on `f`: one that changed the body drops what
-    /// is carried. Debug builds check what is carried on against a new
-    /// solve, so a sub-pass that changes the body without reporting it
-    /// panics here, named.
+    /// Records that `pass` ran on `f`: one that may have changed the graph
+    /// or liveness drops what is carried. Debug builds check what is
+    /// carried on against a new solve, so a sub-pass that changes them
+    /// without reporting it panics here, named.
     fn ran(&mut self, pass: &str, f: &Function, changed: bool) {
         if changed {
             self.solved = None;
@@ -140,7 +140,8 @@ pub fn optimize_function(f: &mut Function) -> OptStats {
 ///
 /// The run solves liveness at most once per state of the function: it
 /// carries the block graph and liveness from constprop to DCE while no
-/// sub-pass in between reports a change, and DCE hands back those of its
+/// sub-pass in between reports a change (copyprop and CSE cannot change
+/// them, so they never drop them), and DCE hands back those of its
 /// result, which the next round's constprop reads if dead-slot removal
 /// changed nothing. A confirming round therefore solves nothing.
 /// Constprop and DCE reuse one set of scratch buffers for the whole run.
@@ -173,11 +174,15 @@ pub fn optimize_function_checked(f: &mut Function, ck: &mut Checker) -> OptStats
         let fwd_n = memfwd::forward_stores(f);
         carry.ran("memfwd", f, fwd_n > 0);
         ck.check_function(f, "memfwd");
+        // Copyprop and CSE change neither the block graph nor liveness:
+        // each rewrites only uses of a value defined earlier in the same
+        // block, and keeps every read that reaches above the block's top.
+        // So what is carried stays carried even when they report a change.
         let copy_n = copyprop::propagate_copies(f);
-        carry.ran("copyprop", f, copy_n > 0);
+        carry.ran("copyprop", f, false);
         ck.check_function(f, "copyprop");
         let cse_n = cse::eliminate_common(f);
-        carry.ran("cse", f, cse_n > 0);
+        carry.ran("cse", f, false);
         ck.check_function(f, "cse");
         // DCE's last sweep removed nothing, so what it hands back describes
         // its result.
