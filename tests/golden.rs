@@ -716,38 +716,38 @@ fn decision_reports_match_pinned_hashes() {
 /// for equality, a change that moves one updates its row and says why.
 #[allow(clippy::type_complexity)]
 const WORK: &[(&str, &str, u64, u64, u64, u64, u64, u64, u64, u64)] = &[
-    ("008.espresso", "default", 33, 33, 24, 49, 27, 35, 13, 59),
-    ("008.espresso", "no-ipa", 33, 33, 24, 49, 27, 35, 13, 59),
-    ("022.li", "default", 35, 35, 28, 56, 255, 35, 10, 73),
-    ("022.li", "no-ipa", 35, 35, 28, 56, 255, 35, 10, 73),
-    ("023.eqntott", "default", 14, 14, 11, 23, 18, 14, 8, 28),
-    ("023.eqntott", "no-ipa", 14, 14, 11, 23, 18, 14, 8, 28),
-    ("026.compress", "default", 20, 20, 16, 31, 50, 20, 8, 42),
-    ("026.compress", "no-ipa", 19, 19, 16, 31, 50, 20, 8, 42),
-    ("072.sc", "default", 27, 27, 19, 39, 25, 27, 12, 49),
-    ("072.sc", "no-ipa", 25, 25, 18, 38, 25, 26, 11, 48),
-    ("085.gcc", "default", 33, 34, 25, 52, 47, 34, 9, 66),
-    ("085.gcc", "no-ipa", 31, 32, 23, 48, 47, 32, 9, 60),
+    ("008.espresso", "default", 33, 33, 24, 49, 27, 35, 13, 58),
+    ("008.espresso", "no-ipa", 33, 33, 24, 49, 27, 35, 13, 58),
+    ("022.li", "default", 35, 35, 28, 56, 255, 35, 10, 69),
+    ("022.li", "no-ipa", 35, 35, 28, 56, 255, 35, 10, 69),
+    ("023.eqntott", "default", 14, 14, 11, 23, 18, 14, 8, 26),
+    ("023.eqntott", "no-ipa", 14, 14, 11, 23, 18, 14, 8, 26),
+    ("026.compress", "default", 20, 20, 16, 31, 50, 20, 8, 41),
+    ("026.compress", "no-ipa", 19, 19, 16, 31, 50, 20, 8, 41),
+    ("072.sc", "default", 27, 27, 19, 39, 25, 27, 12, 47),
+    ("072.sc", "no-ipa", 25, 25, 18, 38, 25, 26, 11, 46),
+    ("085.gcc", "default", 33, 34, 25, 52, 47, 34, 9, 63),
+    ("085.gcc", "no-ipa", 31, 32, 23, 48, 47, 32, 9, 57),
     ("099.go", "default", 29, 29, 25, 45, 94, 29, 11, 59),
     ("099.go", "no-ipa", 29, 29, 24, 43, 94, 29, 12, 56),
-    ("124.m88ksim", "default", 31, 31, 25, 49, 31, 31, 10, 58),
-    ("124.m88ksim", "no-ipa", 29, 29, 23, 46, 29, 29, 7, 55),
-    ("126.gcc", "default", 36, 37, 27, 57, 51, 37, 9, 72),
-    ("126.gcc", "no-ipa", 35, 36, 26, 55, 52, 36, 9, 69),
-    ("129.compress", "default", 22, 22, 16, 31, 47, 22, 9, 41),
-    ("129.compress", "no-ipa", 21, 21, 16, 31, 47, 22, 9, 41),
-    ("130.li", "default", 43, 43, 36, 68, 293, 44, 14, 88),
-    ("130.li", "no-ipa", 38, 38, 32, 63, 294, 40, 11, 82),
-    ("132.ijpeg", "default", 20, 20, 15, 40, 27, 20, 9, 60),
-    ("132.ijpeg", "no-ipa", 20, 20, 15, 40, 27, 20, 9, 60),
-    ("134.perl", "default", 36, 36, 28, 55, 127, 36, 8, 71),
-    ("134.perl", "no-ipa", 36, 36, 28, 55, 127, 36, 8, 71),
-    ("147.vortex", "default", 42, 44, 32, 65, 46, 42, 11, 87),
-    ("147.vortex", "no-ipa", 40, 41, 31, 63, 47, 40, 10, 84),
+    ("124.m88ksim", "default", 31, 31, 25, 49, 31, 31, 10, 57),
+    ("124.m88ksim", "no-ipa", 29, 29, 23, 46, 29, 29, 7, 54),
+    ("126.gcc", "default", 36, 37, 27, 57, 51, 37, 9, 68),
+    ("126.gcc", "no-ipa", 35, 36, 26, 55, 52, 36, 9, 65),
+    ("129.compress", "default", 22, 22, 16, 31, 47, 22, 9, 40),
+    ("129.compress", "no-ipa", 21, 21, 16, 31, 47, 22, 9, 40),
+    ("130.li", "default", 43, 43, 36, 68, 293, 44, 14, 85),
+    ("130.li", "no-ipa", 38, 38, 32, 63, 294, 40, 11, 79),
+    ("132.ijpeg", "default", 20, 20, 15, 40, 27, 20, 9, 50),
+    ("132.ijpeg", "no-ipa", 20, 20, 15, 40, 27, 20, 9, 50),
+    ("134.perl", "default", 36, 36, 28, 55, 127, 36, 8, 70),
+    ("134.perl", "no-ipa", 36, 36, 28, 55, 127, 36, 8, 70),
+    ("147.vortex", "default", 42, 44, 32, 65, 46, 42, 11, 82),
+    ("147.vortex", "no-ipa", 40, 41, 31, 63, 47, 40, 10, 79),
     ("edit24", "default", 144, 144, 72, 144, 0, 144, 48, 144),
     ("edit24", "no-ipa", 144, 144, 72, 144, 0, 144, 48, 144),
-    ("purecalls", "default", 9, 9, 6, 12, 0, 9, 4, 14),
-    ("purecalls", "no-ipa", 7, 7, 6, 12, 5, 8, 5, 14),
+    ("purecalls", "default", 9, 9, 6, 12, 0, 9, 4, 13),
+    ("purecalls", "no-ipa", 7, 7, 6, 12, 5, 8, 5, 13),
 ];
 
 #[test]
