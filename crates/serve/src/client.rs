@@ -78,13 +78,14 @@ impl From<FrameError> for ServeError {
 pub struct ServeStats {
     /// Milliseconds since the daemon started.
     pub uptime_ms: u64,
-    /// Optimize requests accepted into the queue.
+    /// Optimize requests admitted: each took a ticket at the daemon's
+    /// admission gate.
     pub requests: u64,
     /// Requests turned away with `Busy`.
     pub busy: u64,
     /// Requests that failed (bad input, compile error, …).
     pub errors: u64,
-    /// Requests whose deadline expired while queued.
+    /// Requests whose deadline had expired when they took their slot.
     pub deadline_missed: u64,
     /// Whole-program cache hits (pure lookups).
     pub hits: u64,

@@ -11,9 +11,9 @@
 //! no divergence is found.
 //!
 //! Unlike `hlo::fault` (thread-local, armed and observed on the same
-//! thread), this flag is **process-global**: the daemon's worker threads
-//! compute partition keys, while the test arms the fault from its own
-//! thread. Arming takes a process-wide window lock, so two fault-armed
+//! thread), this flag is **process-global**: the daemon's connection
+//! threads compute partition keys, while the test arms the fault from its
+//! own thread. Arming takes a process-wide window lock, so two fault-armed
 //! tests serialize instead of sharing a window — and tests that must
 //! observe the fault *disarmed* (anything asserting clean incremental
 //! behaviour while a fault-armed test may run in the same process) hold

@@ -18,9 +18,10 @@
 //!   partition and re-optimize only the partitions an edit touched,
 //!   splicing every other partition's bodies byte-for-byte through
 //!   [`hlo::optimize_partial`].
-//! * [`server`] — the daemon: a bounded-queue session scheduler over a
-//!   fixed worker pool, per-request deadlines, `Busy` backpressure and
-//!   graceful drain-on-shutdown.
+//! * [`server`] — the daemon: every request answered on the thread of
+//!   its connection, behind a first-come-first-served admission gate
+//!   with bounded slots and a bounded line, per-request deadlines,
+//!   `Busy` backpressure and graceful drain-on-shutdown.
 //! * [`client`] — the blocking client `hloc remote` uses to talk to
 //!   `hlod`.
 //! * [`fault`] — the planted stale-cone-key fault `cargo fuzzgate` uses
@@ -65,7 +66,7 @@ pub enum ProfileSpec {
     /// ([`hlo_profile::ProfileDb::to_text`]).
     Text(String),
     /// Continuous PGO: resolve the daemon's merged per-program aggregate
-    /// at dequeue time. A cached result whose build profile has since
+    /// when the request runs. A cached result whose build profile has since
     /// drifted past the daemon's threshold is treated as a miss and
     /// re-optimized.
     Server,
@@ -87,9 +88,9 @@ pub struct OptimizeRequest {
     pub source: SourceKind,
     /// Profile source for this request.
     pub profile: ProfileSpec,
-    /// Per-request deadline in milliseconds, measured from enqueue. A
-    /// request still queued when it expires is answered with an error
-    /// instead of being optimized.
+    /// Per-request deadline in milliseconds, measured from receipt. A
+    /// request whose deadline has passed when it takes its slot is
+    /// answered with an error instead of being optimized.
     pub deadline_ms: Option<u64>,
     /// Execute the optimized program once with this argument on the
     /// daemon's bytecode tier after optimizing. The outcome lands in the

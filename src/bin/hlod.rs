@@ -125,8 +125,10 @@ USAGE:
 
 OPTIONS:
   --addr HOST:PORT     listen address (default: 127.0.0.1:7457)
-  --workers N          optimize worker threads (default: 0 = all cores)
-  --queue N            bounded request queue depth (default: 64)
+  --workers N          optimize requests run at once, each on the thread
+                       of its connection (default: 0 = all cores)
+  --queue N            optimize requests that may wait for a slot; one
+                       more is answered busy (default: 64)
   --cache N            cached program results, LRU past this (default: 128)
   --max-payload BYTES  largest accepted request frame (default: 16 MiB)
   --deadline-ms N      default per-request deadline (default: none)
@@ -143,6 +145,7 @@ OPTIONS:
   --flight-cap N       request summaries in the flight recorder (default: 256)
   --version            print version and enabled features
 
-Stop it with `hloc remote <addr> shutdown`; queued work is drained first."
+Stop it with `hloc remote <addr> shutdown`; admitted requests are answered
+first."
     );
 }
