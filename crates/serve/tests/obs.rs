@@ -229,7 +229,7 @@ fn traced_content_is_identical_across_worker_counts() {
     // through a 1-worker and a 4-worker daemon must produce byte-identical
     // span trees, decision reports, cache outcomes, and (after timestamp
     // normalization) event logs. One client sends one request at a time,
-    // so the event order does not depend on which worker takes a request.
+    // so the event order does not depend on how many requests may run.
     let run = |workers: usize, log: &TempLog| {
         let server = Server::spawn(
             "127.0.0.1:0",
@@ -277,7 +277,7 @@ fn traced_content_is_identical_across_worker_counts() {
 
 #[test]
 fn stats_equals_the_rendered_exposition_after_every_counter_moves() {
-    // One worker, a one-slot queue and a zero slow threshold, so a burst
+    // One slot, one waiting ticket and a zero slow threshold, so a burst
     // is shed as busy and every finished request counts as slow.
     let server = Server::spawn(
         "127.0.0.1:0",
