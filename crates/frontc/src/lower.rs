@@ -11,14 +11,18 @@ use hlo_ir::{
     BinOp, BlockId, ConstVal, ExternId, FuncId, FunctionBuilder, GlobalId, Linkage, ModuleId,
     Operand, Program, ProgramBuilder, Reg, SlotId, Type, UnOp,
 };
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
-/// Links parsed modules into a whole [`Program`].
+/// Links parsed modules into a whole [`Program`]. The modules may be
+/// owned or shared (`ModuleAst`, `&ModuleAst`, `Arc<ModuleAst>`): linking
+/// only reads them.
 ///
 /// # Errors
 /// Reports duplicate definitions, unresolved names used as values, misuse
 /// of intrinsics, and `break`/`continue` outside loops.
-pub fn link(modules: &[ModuleAst]) -> Result<Program, FrontError> {
+pub fn link<M: Borrow<ModuleAst>>(modules: &[M]) -> Result<Program, FrontError> {
+    let modules: Vec<&ModuleAst> = modules.iter().map(Borrow::borrow).collect();
     let mut pb = ProgramBuilder::new();
     let module_ids: Vec<ModuleId> = modules.iter().map(|m| pb.add_module(&m.name)).collect();
 
@@ -101,7 +105,7 @@ pub fn link(modules: &[ModuleAst]) -> Result<Program, FrontError> {
             public_globals: &public_globals,
             declared_externs: &declared_externs,
         };
-        let func = lower_fn(&mut pb, modules, module_ids[mi], def, &resolver)?;
+        let func = lower_fn(&mut pb, &modules[mi].name, module_ids[mi], def, &resolver)?;
         let got = pb.add_function(func);
         debug_assert_eq!(got, local_fns[mi][def.name.as_str()]);
     }
@@ -611,7 +615,7 @@ fn body_returns_value(stmts: &[Stmt]) -> bool {
 
 fn lower_fn(
     pb: &mut ProgramBuilder,
-    modules: &[ModuleAst],
+    module_name: &str,
     module: ModuleId,
     def: &FnDef,
     resolver: &Resolver<'_>,
@@ -633,7 +637,7 @@ fn lower_fn(
         scopes,
         loops: Vec::new(),
         resolver,
-        module_name: &modules[resolver.module].name,
+        module_name,
         fn_line: def.line,
         returns_value,
     };
