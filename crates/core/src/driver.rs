@@ -421,15 +421,25 @@ pub fn optimize_partial(
 
     // Frequency annotation: PBO counts when available, the static
     // loop-depth heuristic otherwise. With a profile database, functions
-    // never executed in training are cold, not unknown. (Reused partitions
-    // are annotated too — harmless, their bodies are replaced at splice.)
+    // never executed in training are cold, not unknown. The database is
+    // applied program-wide, so the report counts the same annotations
+    // whatever the plan; the fill runs only where a partition rebuilds, as
+    // a reused partition's bodies are replaced at its splice.
     let t = Instant::now();
     build.report.profile_annotations = match profile {
         Some(db) => apply_profile(p, db) as u64,
         None => 0,
     };
-    for f in &mut p.funcs {
-        if f.profile.is_none() {
+    let mut fill = vec![true; p.funcs.len()];
+    for (members, action) in partitions.iter().zip(&plan) {
+        if matches!(action, PartitionAction::Reuse(_)) {
+            for &f in members {
+                fill[f.index()] = false;
+            }
+        }
+    }
+    for (f, fill) in p.funcs.iter_mut().zip(fill) {
+        if fill && f.profile.is_none() {
             f.profile = Some(if profile.is_some() {
                 FuncProfile {
                     entry: 0.0,
