@@ -97,6 +97,9 @@ pub struct ServeStats {
     /// Requests whose raw inputs were in the source index, so their
     /// compile phase skipped the front end.
     pub source_hits: u64,
+    /// Modules a front end took parsed from the daemon's module store
+    /// instead of parsing them.
+    pub module_hits: u64,
     /// Programs evicted by the LRU bound.
     pub evictions: u64,
     /// Function cone keys already known at lookup time.
@@ -170,6 +173,7 @@ impl ServeStats {
                 "misses" => st.misses = num(&mut parts, line)?,
                 "stale_hits" => st.stale_hits = num(&mut parts, line)?,
                 "source_hits" => st.source_hits = num(&mut parts, line)?,
+                "module_hits" => st.module_hits = num(&mut parts, line)?,
                 "evictions" => st.evictions = num(&mut parts, line)?,
                 "func_hits" => st.func_hits = num(&mut parts, line)?,
                 "func_misses" => st.func_misses = num(&mut parts, line)?,

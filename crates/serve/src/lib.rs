@@ -11,8 +11,9 @@
 //!   are pure lookups; per-function *cone keys* (function hash + option
 //!   fingerprint + inline-reachable callee hashes via
 //!   [`hlo::CallGraphCache`]) make invalidation exactly as big as the
-//!   dependence cone of an edit, and a partition store keeps finished
-//!   per-partition bodies for function-grain reuse.
+//!   dependence cone of an edit, a partition store keeps finished
+//!   per-partition bodies for function-grain reuse, and a module store
+//!   keeps parsed MinC modules, so an edit parses only what it changed.
 //! * [`incremental`] — function-grain incremental recompilation: on a
 //!   whole-program miss, probe the partition store per call-graph
 //!   partition and re-optimize only the partitions an edit touched,

@@ -406,6 +406,7 @@ fn daemon_metric_name_set_is_pinned() {
             "cache_func_misses_total",
             "cache_hits_total",
             "cache_misses_total",
+            "cache_module_hits_total",
             "cache_resident_bytes",
             "cache_source_hits_total",
             "events_emitted",

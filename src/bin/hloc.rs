@@ -568,6 +568,7 @@ fn remote_cmd(rest: &[String]) -> Result<(), String> {
             println!("cache misses    {}", st.misses);
             println!("stale hits      {}", st.stale_hits);
             println!("source hits     {}", st.source_hits);
+            println!("module hits     {}", st.module_hits);
             println!("evictions       {}", st.evictions);
             println!("func cone hits  {}", st.func_hits);
             println!("func cone new   {}", st.func_misses);
