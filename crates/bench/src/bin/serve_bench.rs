@@ -25,7 +25,11 @@
 //! partition from its store (`partition_hits > 0`, `partition_rebuilds`
 //! below the partition count, the same counts on every repeat) and
 //! answer byte-identically to a from-scratch optimize; its median latency
-//! must be at most half the median cold full-build latency.
+//! must be at most half the median cold full-build latency. A second
+//! edit, of another module, gates the parsed-module store: it must answer
+//! byte-identically too, and take from the store every module the cold
+//! build and the first edit both sent (`module_hits`, the same count on
+//! every repeat).
 
 use hlo::HloOptions;
 use hlo_bench::{Spread, REPEATS};
@@ -360,6 +364,8 @@ struct EditRow {
     partitions: u64,
     hits: u64,
     rebuilds: u64,
+    /// Modules the second edit took from the parsed-module store.
+    module_hits: u64,
     identical: bool,
 }
 
@@ -388,20 +394,34 @@ fn edit_sources(modules: usize, bumped: Option<usize>) -> Vec<(String, String)> 
 /// warm rebuild to splice (hits > 0, rebuilds < partitions, the same
 /// counts each repeat) and to match a from-scratch optimize byte for
 /// byte; the median warm latency must be at most half the median cold
-/// one.
+/// one. Then edit another module of the base program: that request must
+/// match a from-scratch optimize too and take 10 of its 12 modules from
+/// the parsed-module store. A module is stored on its second sighting, so
+/// the store holds the 11 modules the cold build and the first edit share;
+/// the second edit sends 10 of them, the first edit's module as the base
+/// had it (seen once), and its own edit.
 fn warm_edit_probe() -> (bool, EditRow) {
     const MODULES: usize = 12;
+    const STORED: u64 = MODULES as u64 - 2;
     let base = edit_sources(MODULES, None);
     let edited = edit_sources(MODULES, Some(MODULES / 2));
+    let edited_again = edit_sources(MODULES, Some(MODULES / 3));
     println!(
         "edit-one-function: 1 of {MODULES} modules edited, {REPEATS} repeats \
-         (gate: splice + identity + median <=0.5x cold)"
+         (gate: splice + identity + median <=0.5x cold; a second edit takes \
+         {STORED} modules from the store)"
     );
     println!(
-        "{:>22} {:>22} {:>8} {:>6} {:>9} {:>5}",
-        "cold us: med (range)", "edit us: med (range)", "speedup", "hits", "rebuilds", "ok"
+        "{:>22} {:>22} {:>8} {:>6} {:>9} {:>8} {:>5}",
+        "cold us: med (range)",
+        "edit us: med (range)",
+        "speedup",
+        "hits",
+        "rebuilds",
+        "modules",
+        "ok"
     );
-    hlo_bench::rule(77);
+    hlo_bench::rule(86);
 
     let opts = HloOptions {
         scope: hlo::Scope::WithinModule,
@@ -413,7 +433,8 @@ fn warm_edit_probe() -> (bool, EditRow) {
         let _ = hlo::optimize(&mut p, None, &opts);
         hlo_ir::program_to_text(&p)
     };
-    let (base_ir, edited_ir) = (truth(&base), truth(&edited));
+    let (base_ir, edited_ir, edited_again_ir) =
+        (truth(&base), truth(&edited), truth(&edited_again));
     let request = |srcs: &[(String, String)]| OptimizeRequest {
         options: opts.clone(),
         source: SourceKind::Minc(srcs.to_vec()),
@@ -436,37 +457,48 @@ fn warm_edit_probe() -> (bool, EditRow) {
         let t = Instant::now();
         let warm = client.optimize(&request(&edited)).expect("warm edit");
         warm_us.push(t.elapsed().as_micros() as u64);
+        let before = client.stats().expect("stats request").module_hits;
+        let again = client
+            .optimize(&request(&edited_again))
+            .expect("second edit");
+        let module_hits = client.stats().expect("stats request").module_hits - before;
         client.shutdown().expect("shutdown");
         server.wait();
-        identical &= cold.ir_text == base_ir && warm.ir_text == edited_ir;
+        identical &= cold.ir_text == base_ir
+            && warm.ir_text == edited_ir
+            && again.ir_text == edited_again_ir;
         counts.push((
             cold.outcome.partition_rebuilds,
             warm.outcome.partition_hits,
             warm.outcome.partition_rebuilds,
+            module_hits,
         ));
     }
 
-    let (partitions, hits, rebuilds) = counts[0];
+    let (partitions, hits, rebuilds, module_hits) = counts[0];
     let row = EditRow {
         cold_us: Spread::of(&cold_us),
         warm_us: Spread::of(&warm_us),
         partitions,
         hits,
         rebuilds,
+        module_hits,
         identical,
     };
     let ok = row.identical
         && counts.iter().all(|&c| c == counts[0])
         && row.hits > 0
         && row.rebuilds < row.partitions
+        && row.module_hits == STORED
         && row.warm_us.median * 2 <= row.cold_us.median;
     println!(
-        "{:>22} {:>22} {:>7.1}x {:>6} {:>9} {:>5}",
+        "{:>22} {:>22} {:>7.1}x {:>6} {:>9} {:>8} {:>5}",
         row.cold_us.to_string(),
         row.warm_us.to_string(),
         row.cold_us.median as f64 / row.warm_us.median.max(1) as f64,
         row.hits,
         row.rebuilds,
+        row.module_hits,
         if ok { "yes" } else { "NO" }
     );
     if !ok {
@@ -519,12 +551,14 @@ fn render_json(
     let _ = writeln!(
         s,
         "  \"warm_edit\": {{\"cold_us\": {}, \"warm_us\": {}, \"partitions\": {}, \
-         \"partition_hits\": {}, \"partition_rebuilds\": {}, \"identical\": {}}}",
+         \"partition_hits\": {}, \"partition_rebuilds\": {}, \
+         \"second_edit_module_hits\": {}, \"identical\": {}}}",
         edit.cold_us.json(),
         edit.warm_us.json(),
         edit.partitions,
         edit.hits,
         edit.rebuilds,
+        edit.module_hits,
         edit.identical
     );
     let _ = write!(s, "}}");
