@@ -21,11 +21,10 @@
 //! speed.
 
 use hlo::HloOptions;
-use hlo_bench::{Spread, REPEATS};
+use hlo_bench::{Spread, EXEC, REPEATS};
 use hlo_pgo::{store::DEFAULT_CAP, ProfileStore};
 use hlo_profile::collect_profile;
 use hlo_serve::{Client, OptimizeRequest, ProfilePushRequest, ProfileSpec, ServeConfig, Server};
-use hlo_vm::ExecOptions;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -66,10 +65,9 @@ fn main() -> ExitCode {
     for b in hlo_suite::all_benchmarks() {
         let baseline = b.compile().expect("suite program compiles");
         let key = hlo_pgo::program_key(&baseline);
-        let exec = ExecOptions::default();
         let (train_db, _) =
-            collect_profile(&baseline, &[b.train_arg], &exec).expect("training run");
-        let (ref_db, _) = collect_profile(&baseline, &[b.ref_arg], &exec).expect("ref run");
+            collect_profile(&baseline, &[b.train_arg], &EXEC).expect("training run");
+        let (ref_db, _) = collect_profile(&baseline, &[b.ref_arg], &EXEC).expect("ref run");
 
         // Ground truth: profile-free and profile-guided in-process builds.
         let opts = HloOptions::default();

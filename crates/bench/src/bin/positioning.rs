@@ -5,10 +5,9 @@
 
 use hlo::HloOptions;
 use hlo_analysis::{procedure_order, CallGraph};
-use hlo_bench::{build, BuildKind};
+use hlo_bench::{build, BuildKind, EXEC};
 use hlo_ir::CodeLayout;
 use hlo_sim::{simulate_with_layout, CacheConfig, MachineConfig};
-use hlo_vm::ExecOptions;
 
 fn machine() -> MachineConfig {
     MachineConfig {
@@ -31,16 +30,15 @@ fn main() {
     for b in hlo_suite::all_benchmarks() {
         let r = build(&b, BuildKind::CrossProfile, HloOptions::default());
         let p = &r.program;
-        let exec = ExecOptions::default();
         let (module_order, _) =
-            simulate_with_layout(p, &[b.ref_arg], &exec, &machine(), CodeLayout::of(p))
+            simulate_with_layout(p, &[b.ref_arg], &EXEC, &machine(), CodeLayout::of(p))
                 .expect("ref run");
         let cg = CallGraph::build(p);
         let order = procedure_order(p, &cg);
         let (pgo, _) = simulate_with_layout(
             p,
             &[b.ref_arg],
-            &exec,
+            &EXEC,
             &machine(),
             CodeLayout::with_order(p, &order),
         )

@@ -32,13 +32,12 @@
 //! every repeat).
 
 use hlo::HloOptions;
-use hlo_bench::{Spread, REPEATS};
+use hlo_bench::{Spread, EXEC, REPEATS};
 use hlo_profile::collect_profile;
 use hlo_serve::{
     mint_trace_id, Client, OptimizeRequest, ProfilePushRequest, ProfileSpec, ServeConfig, Server,
     SourceKind,
 };
-use hlo_vm::ExecOptions;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -65,8 +64,7 @@ fn main() -> ExitCode {
         .iter()
         .map(|b| {
             let baseline = b.compile().expect("suite program compiles");
-            let (db, _) = collect_profile(&baseline, &[b.train_arg], &ExecOptions::default())
-                .expect("training run");
+            let (db, _) = collect_profile(&baseline, &[b.train_arg], &EXEC).expect("training run");
             let opts = HloOptions::default();
             let mut expect_program = baseline;
             let _ = hlo::optimize(&mut expect_program, Some(&db), &opts);
@@ -244,8 +242,7 @@ fn restart_warmth_probe() -> bool {
         .collect();
     let baseline = b.compile().expect("suite program compiles");
     let key = hlo_pgo::program_key(&baseline);
-    let (db, _) =
-        collect_profile(&baseline, &[b.train_arg], &ExecOptions::default()).expect("training run");
+    let (db, _) = collect_profile(&baseline, &[b.train_arg], &EXEC).expect("training run");
 
     // First life: register the program (any optimize does) and push.
     let server = Server::spawn("127.0.0.1:0", cfg()).expect("spawn first daemon");

@@ -20,7 +20,16 @@ use hlo_ir::Program;
 use hlo_profile::{collect_profile, ProfileDb};
 use hlo_sim::{simulate, MachineConfig, SimStats};
 use hlo_suite::Benchmark;
-use hlo_vm::ExecOptions;
+use hlo_vm::{ExecOptions, Tier};
+
+/// How the harness executes a program: every training run and every
+/// simulation runs on the bytecode tier. The tree walker runs only
+/// `vmbench`'s timed baseline here; it is the reference the tier-parity
+/// tests and the fuzz oracle hold the bytecode tier to.
+pub const EXEC: ExecOptions = ExecOptions {
+    tier: Tier::Bytecode,
+    ..ExecOptions::DEFAULT
+};
 
 /// The four compilation configurations of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +106,7 @@ pub fn build(b: &Benchmark, kind: BuildKind, mut opts: HloOptions) -> BuildResul
         // The instrumented compile costs a (cheap, unoptimized) compile,
         // and the training run costs VM time (paper §3.2 includes both).
         compile_units += program.compile_cost();
-        let (db, out) = collect_profile(&program, &[b.train_arg], &ExecOptions::default())
-            .expect("training run");
+        let (db, out) = collect_profile(&program, &[b.train_arg], &EXEC).expect("training run");
         compile_units += out.retired / TRAIN_COST_DIVISOR;
         Some(db)
     } else {
@@ -127,8 +135,7 @@ pub fn measure(b: &Benchmark, program: &Program) -> SimStats {
 /// # Panics
 /// Panics if the run traps (a suite bug).
 pub fn measure_with(b: &Benchmark, program: &Program, machine: &MachineConfig) -> SimStats {
-    let (stats, _) =
-        simulate(program, &[b.ref_arg], &ExecOptions::default(), machine).expect("ref run");
+    let (stats, _) = simulate(program, &[b.ref_arg], &EXEC, machine).expect("ref run");
     stats
 }
 

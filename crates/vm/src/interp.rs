@@ -23,8 +23,8 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Stable lower-case name (`tree` / `bytecode`), used in CLI flags
-    /// and metric labels.
+    /// Stable lower-case name (`tree` / `bytecode`), used in metric
+    /// labels.
     pub fn as_str(self) -> &'static str {
         match self {
             Tier::Tree => "tree",
@@ -36,18 +36,6 @@ impl Tier {
 impl std::fmt::Display for Tier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Tier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "tree" => Ok(Tier::Tree),
-            "bytecode" => Ok(Tier::Bytecode),
-            other => Err(format!("bad tier `{other}` (expected tree|bytecode)")),
-        }
     }
 }
 
@@ -64,13 +52,19 @@ pub struct ExecOptions {
     pub tier: Tier,
 }
 
+impl ExecOptions {
+    /// The default limits on the tree tier, as a constant that other
+    /// constants can build on.
+    pub const DEFAULT: ExecOptions = ExecOptions {
+        fuel: 1 << 32,
+        stack_bytes: 4 << 20,
+        tier: Tier::Tree,
+    };
+}
+
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            fuel: 1 << 32,
-            stack_bytes: 4 << 20,
-            tier: Tier::default(),
-        }
+        ExecOptions::DEFAULT
     }
 }
 

@@ -3,8 +3,7 @@
 //! ```text
 //! hloc build [OPTIONS] <file.mc>...   compile + optimize, report, optionally run
 //! hloc opt [OPTIONS] <file.ir>        re-optimize dumped IR (isom-style path)
-//! hloc run   <file.mc>... [--arg N] [--tier tree|bytecode]
-//!                                     compile without HLO and execute
+//! hloc run   <file.mc>... [--arg N]   compile without HLO and execute
 //! hloc lint  <file.mc>... [--pedantic]  static-analysis report (no optimization)
 //! hloc classify <file.mc>...          Figure-5-style call-site classification
 //! hloc fuzz [OPTIONS]                 differential-fuzz the optimizer
@@ -22,9 +21,9 @@
 //! under `--run`; a path writes the optimizer's Chrome trace-event JSON),
 //! `--explain[=FN[:bN.iM]]` (print inline/clone/outline/pure-call decision
 //! provenance, optionally filtered to a function or exact site), `--sim`,
-//! `--arg N`, `--tier tree|bytecode` (VM execution engine for `--run`,
-//! `--train`, and `--sim`), `--verify-each`,
-//! `--check off|structural|strict`.
+//! `--arg N`, `--verify-each`, `--check off|structural|strict`.
+//!
+//! Every program `hloc` executes runs on the VM's bytecode tier.
 
 use aggressive_inlining::{analysis, frontc, fuzz, hlo, ir, lint, pgo, profile, serve, sim, vm};
 use std::process::ExitCode;
@@ -32,6 +31,15 @@ use std::process::ExitCode;
 /// Compile-time capabilities baked into this binary; the workspace has no
 /// optional cargo features, so the list is static.
 const FEATURES: &str = "serve pgo clone outline sim lint";
+
+/// How `hloc` executes a program: the training run of `build --train`,
+/// `--run`, `--sim` and `hloc run` all take the bytecode tier. The tree
+/// walker is the reference that `tests/tier_parity.rs` and the fuzz
+/// oracle hold it to.
+const EXEC: vm::ExecOptions = vm::ExecOptions {
+    tier: vm::Tier::Bytecode,
+    ..vm::ExecOptions::DEFAULT
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,7 +81,7 @@ fn print_help() {
 USAGE:
   hloc build [OPTIONS] <file.mc>...
   hloc opt [OPTIONS] <file.ir>         re-optimize dumped IR (isom-style)
-  hloc run <file.mc>... [--arg N] [--tier tree|bytecode]
+  hloc run <file.mc>... [--arg N]
            [--push-profile ADDR]       run; also push the run's profile to
                                        a daemon (continuous PGO)
   hloc lint <file.mc>... [--pedantic]  static-analysis report (exit 1 on findings)
@@ -113,8 +121,6 @@ BUILD OPTIONS:
   --outline                enable aggressive outlining (paper's future work)
   --train N                profile-guided: training run with scale argument N
   --arg N                  argument passed to main for --run/--sim (default 0)
-  --tier tree|bytecode     VM execution engine for --run/--train/--sim
-                           (default: tree; both tiers behave identically)
   --emit-ir PATH           write optimized IR text to PATH ('-' = stdout)
   --run                    execute the optimized program on the VM
   --trace N                with --run: print the first N executed instructions
@@ -139,7 +145,6 @@ struct Parsed {
     emit_ir: Option<String>,
     do_run: bool,
     do_sim: bool,
-    tier: vm::Tier,
     trace: Option<u64>,
     trace_out: Option<String>,
     explain: Option<Option<String>>,
@@ -189,7 +194,6 @@ fn parse_build_args(rest: &[String]) -> Result<Parsed, String> {
         emit_ir: None,
         do_run: false,
         do_sim: false,
-        tier: vm::Tier::default(),
         trace: None,
         trace_out: None,
         explain: None,
@@ -220,7 +224,6 @@ fn parse_build_args(rest: &[String]) -> Result<Parsed, String> {
                     .map_err(|_| "bad --arg value".to_string())?
             }
             "--emit-ir" => p.emit_ir = Some(value("--emit-ir")?),
-            "--tier" => p.tier = value("--tier")?.parse()?,
             "--trace" => {
                 // Disambiguate by value shape: a bare count keeps the
                 // historical meaning (print the first N executed VM
@@ -277,11 +280,7 @@ fn build(rest: &[String]) -> Result<(), String> {
     let mut program = compile(&parsed.files)?;
     let db = match parsed.train {
         Some(train_arg) => {
-            let exec = vm::ExecOptions {
-                tier: parsed.tier,
-                ..Default::default()
-            };
-            let (db, out) = profile::collect_profile(&program, &[train_arg], &exec)
+            let (db, out) = profile::collect_profile(&program, &[train_arg], &EXEC)
                 .map_err(|e| format!("training run failed: {e}"))?;
             eprintln!(
                 "training run: {} instructions, {} functions profiled",
@@ -346,7 +345,7 @@ fn opt_ir(rest: &[String]) -> Result<(), String> {
 /// The `--run` / `--sim` tail shared by `build` and `opt`.
 fn run_and_sim(program: &ir::Program, parsed: &Parsed) -> Result<(), String> {
     if parsed.do_run {
-        let out = run_maybe_traced(program, parsed.arg, parsed.tier, parsed.trace)?;
+        let out = run_maybe_traced(program, parsed.arg, parsed.trace)?;
         for v in &out.output {
             println!("{v}");
         }
@@ -356,14 +355,10 @@ fn run_and_sim(program: &ir::Program, parsed: &Parsed) -> Result<(), String> {
         );
     }
     if parsed.do_sim {
-        let exec = vm::ExecOptions {
-            tier: parsed.tier,
-            ..Default::default()
-        };
         let (stats, out) = sim::simulate(
             program,
             &[parsed.arg],
-            &exec,
+            &EXEC,
             &sim::MachineConfig::default(),
         )
         .map_err(|e| format!("simulation failed: {e}"))?;
@@ -450,20 +445,15 @@ fn lint_cmd(rest: &[String]) -> Result<ExitCode, String> {
 fn run_maybe_traced(
     program: &ir::Program,
     arg: i64,
-    tier: vm::Tier,
     trace: Option<u64>,
 ) -> Result<vm::ExecOutcome, String> {
-    let exec = vm::ExecOptions {
-        tier,
-        ..Default::default()
-    };
     match trace {
         Some(n) => {
             let stderr = std::io::stderr().lock();
             let mut t = vm::TraceMonitor::new(program, stderr, n);
-            vm::run_with_monitor(program, &[arg], &exec, &mut t)
+            vm::run_with_monitor(program, &[arg], &EXEC, &mut t)
         }
-        None => vm::run_program(program, &[arg], &exec),
+        None => vm::run_program(program, &[arg], &EXEC),
     }
     .map_err(|e| format!("run failed: {e}"))
 }
@@ -471,7 +461,6 @@ fn run_maybe_traced(
 fn run_plain(rest: &[String]) -> Result<(), String> {
     let mut files = Vec::new();
     let mut arg = 0i64;
-    let mut tier = vm::Tier::default();
     let mut push_addr: Option<String> = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -481,12 +470,6 @@ fn run_plain(rest: &[String]) -> Result<(), String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or_else(|| "bad --arg".to_string())?
-            }
-            "--tier" => {
-                tier = it
-                    .next()
-                    .ok_or_else(|| "`--tier` needs a value".to_string())?
-                    .parse()?
             }
             "--push-profile" => {
                 push_addr = Some(
@@ -503,17 +486,13 @@ fn run_plain(rest: &[String]) -> Result<(), String> {
         return Err("no input files".to_string());
     }
     let program = compile(&files)?;
-    let exec = vm::ExecOptions {
-        tier,
-        ..Default::default()
-    };
     // With --push-profile the run doubles as a training run: collect the
     // execution profile and stream it into the daemon's aggregate for
     // this program (keyed so a later `remote build --server-profile` of
     // the same sources finds it).
     let out = match &push_addr {
         Some(addr) => {
-            let (db, out) = profile::collect_profile(&program, &[arg], &exec)
+            let (db, out) = profile::collect_profile(&program, &[arg], &EXEC)
                 .map_err(|e| format!("run failed: {e}"))?;
             let key = pgo::program_key(&program);
             let mut client = serve::Client::connect(addr.as_str())
@@ -531,7 +510,7 @@ fn run_plain(rest: &[String]) -> Result<(), String> {
             );
             out
         }
-        None => vm::run_program(&program, &[arg], &exec).map_err(|e| format!("run failed: {e}"))?,
+        None => vm::run_program(&program, &[arg], &EXEC).map_err(|e| format!("run failed: {e}"))?,
     };
     for v in &out.output {
         println!("{v}");

@@ -232,6 +232,13 @@ fn unknown_command_fails_gracefully() {
     let out = hloc().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    // Every execution runs on the bytecode tier; the tier is no option.
+    for args in [["build", "--tier", "bytecode"], ["run", "--tier", "tree"]] {
+        let out = hloc().args(args).arg("f.mc").output().unwrap();
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option `--tier`"), "{stderr}");
+    }
 }
 
 #[test]
