@@ -18,7 +18,7 @@ use hlo_ipa::SummaryCache;
 use hlo_ir::{FuncId, FuncNames, FuncProfile, Function, Linkage, Module, Program};
 use hlo_lint::{CheckLevel, Checker};
 use hlo_profile::{apply_profile, ProfileDb};
-use hlo_trace::{DecisionEvent, DecisionKind, TraceLevel, Tracer, Verdict};
+use hlo_trace::{DecisionEvent, DecisionKind, Tracer, Verdict};
 use std::time::Instant;
 
 /// Compilation visibility: the paper's per-module path vs the link-time
@@ -81,10 +81,6 @@ pub struct HloOptions {
     /// battery runs too, and every new finding is attributed to the stage
     /// that introduced it. Off (and free) by default.
     pub check: CheckLevel,
-    /// How much the run records into its tracer (spans only, or spans
-    /// plus decision provenance). Pure observability: never changes the
-    /// produced program, and is normalized out of the fingerprint.
-    pub trace: TraceLevel,
 }
 
 impl HloOptions {
@@ -139,7 +135,6 @@ impl HloOptions {
                 CheckLevel::Strict => "strict",
             }
         );
-        let _ = writeln!(s, "trace {}", self.trace);
         s
     }
 
@@ -204,7 +199,6 @@ impl HloOptions {
                 "outline.max_params" => o.outline.max_params = num("max_params")? as u32,
                 "outline.min_region_size" => o.outline.min_region_size = num("min_region_size")?,
                 "check" => o.check = val.parse()?,
-                "trace" => o.trace = val.parse()?,
                 other => return Err(format!("unknown option key `{other}`")),
             }
         }
@@ -212,13 +206,12 @@ impl HloOptions {
     }
 
     /// A stable 64-bit fingerprint of every option that can change the
-    /// *produced program*. `check` and `trace` are normalized out:
-    /// verify-each and tracing only observe, so a cached plain result is a
-    /// valid hit for a `--verify-each` (or `--explain`) request.
+    /// *produced program*. `check` is normalized out: verify-each only
+    /// observes, so a cached plain result is a valid hit for a
+    /// `--verify-each` request.
     pub fn fingerprint(&self) -> u64 {
         let canonical = HloOptions {
             check: CheckLevel::Off,
-            trace: TraceLevel::Off,
             ..self.clone()
         };
         hlo_ir::fnv1a_64(canonical.to_text().as_bytes())
@@ -242,7 +235,6 @@ impl Default for HloOptions {
             ipa: true,
             outline: crate::OutlineOptions::default(),
             check: CheckLevel::Off,
-            trace: TraceLevel::Off,
         }
     }
 }
@@ -257,12 +249,10 @@ pub fn optimize(p: &mut Program, profile: Option<&ProfileDb>, opts: &HloOptions)
 
 /// [`optimize`], recording into `tracer`: a hierarchical span tree
 /// (program → pass → stage) always, and per-site decision provenance when
-/// the tracer was built at [`TraceLevel::Decisions`]. The tracer's level —
-/// not [`HloOptions::trace`] — controls collection; `HloOptions::trace` is
-/// how a *request* asks a remote daemon for a tracing run. Tracing is pure
-/// observation: the produced program is byte-identical with tracing on or
-/// off, and trace *content* (span tree, decisions, metrics) is identical
-/// across runs once timestamps are normalized away.
+/// the tracer was built at [`hlo_trace::TraceLevel::Decisions`]. Tracing
+/// is pure observation: the produced program is byte-identical with
+/// tracing on or off, and trace *content* (span tree, decisions, metrics)
+/// is identical across runs once timestamps are normalized away.
 pub fn optimize_traced(
     p: &mut Program,
     profile: Option<&ProfileDb>,
@@ -1022,6 +1012,7 @@ mod tests {
     use super::*;
     use hlo_ir::verify_program;
     use hlo_profile::collect_profile;
+    use hlo_trace::TraceLevel;
     use hlo_vm::{run_program, ExecOptions};
 
     const INTERP_SRC: &str = r#"
@@ -1371,11 +1362,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_check_and_trace_only() {
+    fn fingerprint_ignores_check_only() {
         let base = HloOptions::default();
         let mut same = base.clone();
         same.check = CheckLevel::Strict;
-        same.trace = TraceLevel::Decisions;
         assert_eq!(base.fingerprint(), same.fingerprint());
         let mut diff = base.clone();
         diff.budget_percent = 99;

@@ -21,8 +21,8 @@
 //! * outlining is on (outline builds are whole-program by construction);
 //! * `max_ops` is set (the operation cap is a global sequential counter,
 //!   so one partition's spend changes another's plan);
-//! * pass-boundary checking or tracing is requested (both compare or
-//!   replay whole-program state a spliced build does not reproduce);
+//! * pass-boundary checking is requested (it compares whole-program pass
+//!   state a spliced build does not reproduce);
 //! * an input function name contains `.` — clone names are dotted
 //!   (`f.clone`, `f.clone.1`), so a dotted input could collide with a
 //!   clone the rebuild mints;
@@ -32,7 +32,7 @@
 //!   clone names depend on what another partition's cached entry spliced.
 
 use crate::fault;
-use hlo::{CallGraphCache, CheckLevel, HloOptions, TraceLevel};
+use hlo::{CallGraphCache, CheckLevel, HloOptions};
 use hlo_analysis::CallGraphPartition;
 use hlo_ir::{Fnv64, Program};
 use std::collections::HashMap;
@@ -55,9 +55,6 @@ pub fn eligible_partitions(
     }
     if opts.check != CheckLevel::Off {
         return Err("checked builds compare whole-program pass state");
-    }
-    if opts.trace != TraceLevel::Off {
-        return Err("traced builds replay whole-program provenance");
     }
     for f in &p.funcs {
         if f.name.contains('.') {
@@ -191,10 +188,6 @@ mod tests {
             },
             HloOptions {
                 check: CheckLevel::Strict,
-                ..opts.clone()
-            },
-            HloOptions {
-                trace: TraceLevel::Spans,
                 ..opts.clone()
             },
         ] {
