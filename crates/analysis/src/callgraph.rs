@@ -317,53 +317,31 @@ impl CallGraph {
     /// Same ordering guarantees as [`CallGraph::partitions`]: partitions
     /// ascend by smallest member id, members and edges ascend within.
     pub fn cache_partitions(&self) -> Vec<CallGraphPartition> {
-        let n = self.num_funcs();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
+        let mut touches = self.address_taken.clone();
+        for (t, &taker) in touches.iter_mut().zip(&self.address_takers) {
+            *t |= taker;
         }
-        fn union(parent: &mut [usize], a: usize, b: usize) {
-            let a = find(parent, a);
-            let b = find(parent, b);
-            if a != b {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                parent[hi] = lo;
-            }
-        }
-        for e in &self.edges {
-            union(&mut parent, e.site.caller.index(), e.callee.index());
-        }
-        // Merge the indirect-call island.
-        let mut island: Option<usize> = None;
-        let mut join = |parent: &mut [usize], f: usize| match island {
-            None => island = Some(f),
-            Some(anchor) => union(parent, anchor, f),
-        };
         for s in &self.indirect_sites {
-            join(&mut parent, s.caller.index());
+            touches[s.caller.index()] = true;
         }
-        for f in 0..n {
-            if self.address_taken[f] || self.address_takers[f] {
-                join(&mut parent, f);
-            }
-        }
-        let mut index_of_root = vec![usize::MAX; n];
         let mut parts: Vec<CallGraphPartition> = Vec::new();
-        for f in 0..n {
-            let r = find(&mut parent, f);
-            if index_of_root[r] == usize::MAX {
-                index_of_root[r] = parts.len();
-                parts.push(CallGraphPartition::default());
+        let mut island: Option<usize> = None;
+        for part in self.partitions() {
+            if !part.funcs.iter().any(|f| touches[f.index()]) {
+                parts.push(part);
+            } else if let Some(i) = island {
+                parts[i].funcs.extend(part.funcs);
+                parts[i].edge_indices.extend(part.edge_indices);
+            } else {
+                // The first component to touch the environment has the
+                // island's smallest member, so the island sits here.
+                island = Some(parts.len());
+                parts.push(part);
             }
-            parts[index_of_root[r]].funcs.push(FuncId(f as u32));
         }
-        for (ei, e) in self.edges.iter().enumerate() {
-            let r = find(&mut parent, e.site.caller.index());
-            parts[index_of_root[r]].edge_indices.push(ei);
+        if let Some(i) = island {
+            parts[i].funcs.sort_unstable();
+            parts[i].edge_indices.sort_unstable();
         }
         parts
     }

@@ -14,7 +14,9 @@ use crate::legality::clone_restriction;
 use crate::transform::{make_clone, redirect_site_to_clone, scale_profile};
 use hlo_analysis::{CallGraph, CallGraphCache, CallGraphPartition, CallSiteRef};
 use hlo_ipa::SummaryCache;
-use hlo_ir::{Callee, ConstVal, FuncId, FuncNames, Function, Inst, Linkage, Operand, Program};
+use hlo_ir::{
+    routine_cost, Callee, ConstVal, FuncId, FuncNames, Function, Inst, Linkage, Operand, Program,
+};
 use hlo_trace::{DecisionEvent, DecisionKind, Tracer, Verdict};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -354,14 +356,7 @@ pub fn clone_pass(
                     .partial_cmp(&a.benefit)
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            let cost = part
-                .funcs
-                .iter()
-                .map(|&f| {
-                    let s = p_ref.func(f).size();
-                    s * s
-                })
-                .sum();
+            let cost = p_ref.cost_of(&part.funcs);
             parts.push(PartitionGroups {
                 groups,
                 cost,
@@ -401,7 +396,7 @@ pub fn clone_pass(
             let cost = if g.retires_clonee || db_hit {
                 0
             } else {
-                callee_size * callee_size
+                routine_cost(callee_size)
             };
             if spent.saturating_add(cost) > part.share || !budget.fits(pass, cost) {
                 if explain {
@@ -489,10 +484,9 @@ pub fn clone_pass(
                 if stats.converged {
                     cache.settle(clone_id);
                 }
-                let s = p.func(clone_id).size();
-                budget.charge(s * s);
-                spent = spent.saturating_add(s * s);
-                charged = s * s;
+                charged = routine_cost(p.func(clone_id).size());
+                budget.charge(charged);
+                spent = spent.saturating_add(charged);
             }
             if explain {
                 // One event per group: the first site stands for the

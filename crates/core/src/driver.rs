@@ -452,13 +452,7 @@ pub fn optimize_partial(
                 record_spliced_names(&mut build.names, p, &stored);
                 // A spliced partition's budget is sized from its input
                 // members, which never ran the pipeline here.
-                let cost = members
-                    .iter()
-                    .map(|&f| {
-                        let s = p.func(f).size();
-                        s * s
-                    })
-                    .sum();
+                let cost = p.cost_of(members);
                 build.report.initial_cost += cost;
                 build.report.budget_limit +=
                     Budget::new(cost, opts.budget_percent, &opts.stage_fractions).limit();

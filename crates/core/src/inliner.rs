@@ -17,7 +17,7 @@ use crate::legality::inline_restriction;
 use crate::transform::{inline_call, scale_profile};
 use hlo_analysis::{CallGraphCache, CallSiteRef};
 use hlo_ipa::SummaryCache;
-use hlo_ir::{FuncId, Program};
+use hlo_ir::{routine_cost, FuncId, Program};
 use hlo_trace::{DecisionEvent, DecisionKind, Tracer, Verdict};
 use std::time::{Duration, Instant};
 
@@ -211,14 +211,7 @@ pub fn inline_pass(
             if candidates.is_empty() {
                 continue;
             }
-            let cost: u64 = part
-                .funcs
-                .iter()
-                .map(|&f| {
-                    let s = p.func(f).size();
-                    s * s
-                })
-                .sum();
+            let cost = p.cost_of(&part.funcs);
             tasks.push(PartitionTask {
                 candidates,
                 cost,
@@ -394,7 +387,7 @@ fn plan_partition(
         let delta = plan.delta
             + grown
                 .iter()
-                .map(|&f| (eff[f] + grow[f]).pow(2) - eff[f].pow(2))
+                .map(|&f| routine_cost(eff[f] + grow[f]) - routine_cost(eff[f]))
                 .sum::<u64>();
         let accepted = delta <= share;
         if explain {

@@ -3,6 +3,13 @@
 use crate::{Extern, ExternId, FuncId, Function, Global, GlobalId, Module, ModuleId};
 use std::collections::HashMap;
 
+/// The paper's compile-time cost of one routine of `size` instructions:
+/// `size²`, because the HP back end contains quadratic algorithms. Every
+/// budget quantity the optimizer plans with is a sum of these.
+pub fn routine_cost(size: u64) -> u64 {
+    size * size
+}
+
 /// A whole program: the unit HLO optimizes on the link-time ("isom") path.
 ///
 /// All symbol references are resolved: direct calls carry [`FuncId`]s,
@@ -104,16 +111,17 @@ impl Program {
         self.funcs.iter().map(|f| f.size()).sum()
     }
 
-    /// The paper's compile-time cost estimate: `sum over routines of
-    /// size(R)^2` (the HP back end contains quadratic algorithms, so this is
-    /// the quantity the inlining budget limits).
+    /// The paper's compile-time cost estimate: [`routine_cost`] summed over
+    /// every routine, the quantity the inlining budget limits.
     pub fn compile_cost(&self) -> u64 {
-        self.funcs
+        self.funcs.iter().map(|f| routine_cost(f.size())).sum()
+    }
+
+    /// [`routine_cost`] summed over `funcs`, e.g. one partition's members.
+    pub fn cost_of(&self, funcs: &[FuncId]) -> u64 {
+        funcs
             .iter()
-            .map(|f| {
-                let s = f.size();
-                s * s
-            })
+            .map(|&f| routine_cost(self.func(f).size()))
             .sum()
     }
 

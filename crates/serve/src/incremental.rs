@@ -108,14 +108,7 @@ pub fn partition_keys(
     partitions
         .iter()
         .map(|part| {
-            let cost: u64 = part
-                .funcs
-                .iter()
-                .map(|&f| {
-                    let s = p.func(f).size();
-                    s * s
-                })
-                .sum();
+            let cost = p.cost_of(&part.funcs);
             let mut pairs: Vec<(u32, u64)> = part
                 .funcs
                 .iter()
