@@ -123,6 +123,16 @@ impl Default for ServeConfig {
 /// histogram over [`LATENCY_BUCKETS_US`].
 pub const REQUEST_PHASES: &[&str] = &["queue_wait", "compile", "cache_probe", "optimize", "reply"];
 
+/// The traced leaf for the daemon's own work in the `optimize` phase
+/// before an optimizer run: a late front end, the partition plan, the
+/// store probe and the backup.
+const PREP_LEAF: &str = "optimize_prep";
+
+/// The traced leaf for the daemon's own work in the `optimize` phase
+/// after the optimizer: the splice's verification, the partition-store
+/// inserts, the output and report renders and the cache insert.
+const STORE_LEAF: &str = "optimize_store";
+
 fn phase_metric(phase: &str) -> String {
     format!("request_{phase}_us")
 }
@@ -756,6 +766,8 @@ fn run_job(
                     Err((reason, msg)) => return fail(reason, &msg),
                 },
             };
+            // Where the daemon's work not yet in a traced span starts.
+            let mut mark = opt_t;
             let report = optimize_miss(
                 shared,
                 &mut program,
@@ -767,6 +779,7 @@ fn run_job(
                 &mut outcome,
                 &mut tracer,
                 &trace_id,
+                &mut mark,
             );
             let ir_text = hlo_ir::program_to_text(&program);
             let report_text = report.to_text();
@@ -794,9 +807,13 @@ fn run_job(
                 );
             }
             // The phase ends once the result is rendered and cached.
-            let opt_us = opt_t.elapsed().as_micros() as u64;
+            let end = Instant::now();
+            let opt_us = (end - opt_t).as_micros() as u64;
             observe_phase(shared, "optimize", opt_us);
             phases.push(("optimize".to_string(), opt_us));
+            if traced {
+                tracer.leaf_seq(STORE_LEAF, end - mark);
+            }
             (ir_text, report_text)
         }
     };
@@ -1083,6 +1100,9 @@ fn check_indexed_keys(req: &OptimizeRequest, entry: &SourceEntry) {
 /// there. Any refusal — the request is not partition-cacheable, or the
 /// spliced result fails IR verification — falls back to a plain full
 /// [`hlo::optimize`] and is counted (`incr_fallback`).
+///
+/// A traced request gets a [`PREP_LEAF`] for the work since `mark` ahead
+/// of each optimizer run, and `mark` moves past each run.
 #[allow(clippy::too_many_arguments)] // the request's full context
 fn optimize_miss(
     shared: &Arc<Shared>,
@@ -1095,7 +1115,14 @@ fn optimize_miss(
     outcome: &mut CacheOutcome,
     tracer: &mut Tracer,
     trace_id: &str,
+    mark: &mut Instant,
 ) -> hlo::HloReport {
+    let traced = !trace_id.is_empty();
+    let prep = |tracer: &mut Tracer, mark: &Instant| {
+        if traced {
+            tracer.leaf_seq(PREP_LEAF, mark.elapsed());
+        }
+    };
     let note_fallback = |shared: &Arc<Shared>, reason: &str| {
         shared.metrics.inc("incr_fallback_total");
         shared.events.emit(
@@ -1129,7 +1156,9 @@ fn optimize_miss(
             // with no hits *is* a from-scratch build — nothing to
             // verify or restore.
             let backup = (hits > 0).then(|| program.clone());
+            prep(tracer, mark);
             let out = hlo::optimize_partial(program, profile, opts, Some(plan), tracer);
+            *mark = Instant::now();
             if hits == 0 || hlo_ir::verify_program(program).is_ok() {
                 outcome.partition_hits = hits;
                 outcome.partition_rebuilds = rebuilds;
@@ -1160,7 +1189,10 @@ fn optimize_miss(
             note_fallback(shared, "ineligible");
         }
     }
-    hlo::optimize_traced(program, profile, opts, tracer)
+    prep(tracer, mark);
+    let report = hlo::optimize_traced(program, profile, opts, tracer);
+    *mark = Instant::now();
+    report
 }
 
 /// The fixed profile component of a `profile: server` cache key. The
